@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .decoder import DecoderConfig, decode
 from .emissions import load_emissions, load_vocab
-from .errors import FormatError, HomodecodeError
+from .errors import FormatError, HomodecodeError, open_text
 from .evaluation import (
     VARIANTS,
     ComparisonAssets,
@@ -70,7 +70,7 @@ class ToolConfig:
     @classmethod
     def from_json(cls, path: str) -> "ToolConfig":
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open_text(path) as fh:
                 obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
@@ -172,7 +172,7 @@ def cmd_uw_discover(args) -> int:
 def cmd_uw_apply(args) -> int:
     pairs = load_pairs(args.pairs)
     emb = load_embeddings(args.embeddings)
-    with open(args.corpus, encoding="utf-8") as fh:
+    with open_text(args.corpus) as fh:
         corpus = fh.read().splitlines()
     freq = load_frequency_table(args.freq) if args.freq else count_frequencies(corpus)
     config = UWConfig(checker_min=args.checker_min)

@@ -14,6 +14,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from .emissions import EmissionMatrix, Vocabulary
 from .errors import EmptyEmissions, InvalidProbability
 from .lexicon import HomophoneIndex
-from .ngram_lm import NGramModel, score_increment, score_sequence
+from .ngram_lm import NGramModel, score_sequence
 
 NEG_INF = float("-inf")
 LN10 = math.log(10.0)
@@ -98,7 +99,11 @@ class BeamHypothesis:
 
 @dataclass(frozen=True)
 class HEInjection:
-    """Audit record: at step, source char's homophone was injected with prob."""
+    """Audit record: at step, source char's homophone was injected with prob.
+
+    One record is logged per injection, but all injections with the same
+    (step, source, injected) share one record object.
+    """
 
     step: int
     source: str
@@ -116,6 +121,12 @@ class NBestEntry:
 
 @dataclass(frozen=True)
 class DecodeResult:
+    """The n-best list and every homophone injection in decode order.
+
+    he_injections holds one entry per injection; entries for the same
+    (step, source, injected) are the same HEInjection object.
+    """
+
     nbest: tuple[NBestEntry, ...]
     he_injections: tuple[HEInjection, ...]
 
@@ -144,24 +155,45 @@ def homophone_adjusted_prob(a_p: float, q: float, n_pron: int, gamma: float) -> 
     return max(a_p, (1.0 - gamma) * a_p + gamma * q * discount)
 
 
-def _fused(hyp: BeamHypothesis, config: DecoderConfig) -> float:
-    return (
-        hyp.acoustic_score()
-        + config.alpha * LN10 * hyp.lm_score
-        + config.beta * len(hyp.prefix)
-    )
+def _score(hyps: list[BeamHypothesis], config: DecoderConfig) -> None:
+    """Set each hypothesis's fused score (see the module docstring)."""
+    lm_weight = config.alpha * LN10
+    for hyp in hyps:
+        hyp.fused_score = (
+            _logaddexp(hyp.p_blank, hyp.p_nonblank)
+            + lm_weight * hyp.lm_score
+            + config.beta * len(hyp.prefix)
+        )
 
 
 def _prune(hyps: list[BeamHypothesis], vocab: Vocabulary, config: DecoderConfig) -> list[BeamHypothesis]:
-    for hyp in hyps:
-        hyp.fused_score = _fused(hyp, config)
+    """Score every hypothesis and keep the beam_size best.
+
+    Only hypotheses scoring at least the beam_size-th best fused score
+    can survive, so transcript sort keys are built for those alone.
+    """
+    _score(hyps, config)
+    if len(hyps) > config.beam_size:
+        cut = heapq.nlargest(config.beam_size, [h.fused_score for h in hyps])[-1]
+        hyps = [h for h in hyps if h.fused_score >= cut]
     hyps.sort(key=lambda h: (-h.fused_score, h.text(vocab)))
     return hyps[: config.beam_size]
 
 
 def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
-    """Non-blank candidate indices, most probable first, ties by index."""
-    order = np.argsort(-lp, kind="stable")
+    """Non-blank candidate indices, most probable first, ties by index.
+
+    With topk set, only the topk + 1 best entries (room for the blank)
+    and any entries tied with the last of them are ordered.
+    """
+    neg = -lp
+    if topk and topk + 1 < neg.shape[0]:
+        kth = np.partition(neg, topk)[topk]
+        # not "<= kth": a NaN kth (too few numbers) must keep every entry
+        pool = np.flatnonzero(~(neg > kth))
+        order = pool[np.argsort(neg[pool], kind="stable")]
+    else:
+        order = np.argsort(neg, kind="stable")
     cands: list[int] = []
     for idx in order:
         i = int(idx)
@@ -175,12 +207,17 @@ def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
     return cands
 
 
-def _lm_increment(lm: NGramModel | None, vocab: Vocabulary, prefix: tuple[int, ...], token: str) -> float:
-    if lm is None:
-        return 0.0
+def _lm_context(lm: NGramModel, vocab: Vocabulary, prefix: tuple[int, ...]) -> tuple[str, ...]:
+    """Normalised context that scores the token following prefix.
+
+    Matches score_increment: a sentence-start symbol, then the prefix's
+    last order-1 tokens mapped to the unknown symbol when out of vocabulary.
+    """
     span = lm.order - 1
-    ctx_ids = prefix[-span:] if span > 0 else ()
-    return score_increment(lm, [vocab.tokens[i] for i in ctx_ids], token)
+    if span <= 0:
+        return ()
+    effective = [lm.start] + [lm.normalize_token(vocab.tokens[i]) for i in prefix[-span:]]
+    return tuple(effective[-span:])
 
 
 def ctc_step(
@@ -202,7 +239,11 @@ def ctc_step(
     lp = np.asarray(frame, dtype=np.float64)
     blank = vocab.blank_index
     lp_blank = float(lp[blank])
-    cands = _frame_candidates(lp, blank, config.char_topk)
+    # (index, log-prob, LM token) per candidate, shared by every hypothesis
+    cands = [
+        (c, float(lp[c]), lm.normalize_token(vocab.tokens[c]) if lm is not None else None)
+        for c in _frame_candidates(lp, blank, config.char_topk)
+    ]
     next_recs: dict[tuple[int, ...], BeamHypothesis] = {}
 
     for hyp in hyps:
@@ -210,6 +251,7 @@ def ctc_step(
         if p_tot == NEG_INF:
             continue
         last = hyp.prefix[-1] if hyp.prefix else None
+        ctx = _lm_context(lm, vocab, hyp.prefix) if lm is not None else ()
 
         if lp_blank != NEG_INF:
             rec = next_recs.get(hyp.prefix)
@@ -218,8 +260,7 @@ def ctc_step(
                 next_recs[hyp.prefix] = rec
             rec.p_blank = _logaddexp(rec.p_blank, p_tot + lp_blank)
 
-        for c in cands:
-            lp_c = float(lp[c])
+        for c, lp_c, token in cands:
             if c == last:
                 if hyp.p_nonblank != NEG_INF:
                     rec = next_recs.get(hyp.prefix)
@@ -234,14 +275,13 @@ def ctc_step(
                 continue
             new_prefix = hyp.prefix + (c,)
             rec = next_recs.get(new_prefix)
-            if rec is None:
-                inc = _lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
-                rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
-                next_recs[new_prefix] = rec
-            elif rec.ext_index is None:
-                # rec was seeded by the surviving prefix's blank/repeat
-                # path; record the extension increment for injection
-                inc = _lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
+            if rec is None or rec.ext_index is None:
+                # a record seeded by the surviving prefix's blank/repeat
+                # path still needs the extension increment for injection
+                inc = lm.conditional_logprob(ctx, token) if lm is not None else 0.0
+                if rec is None:
+                    rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
+                    next_recs[new_prefix] = rec
             else:
                 inc = rec.ext_lm_inc
             rec.ext_lm_inc = inc
@@ -252,9 +292,44 @@ def ctc_step(
     out = list(next_recs.values())
     if prune:
         return _prune(out, vocab, config)
-    for rec in out:
-        rec.fused_score = _fused(rec, config)
+    _score(out, config)
     return out
+
+
+def _injection_table(
+    c_idx: int,
+    lp: np.ndarray,
+    index: HomophoneIndex,
+    vocab: Vocabulary,
+    config: DecoderConfig,
+    lm: NGramModel | None,
+    step: int,
+) -> tuple[list[tuple[int, str, float]], list[HEInjection]]:
+    """This frame's injections for source character c_idx.
+
+    Returns (homophone index, LM token, log adjusted probability) per
+    in-vocabulary homophone with a positive adjusted probability, and the
+    matching audit records, in homophones_of order.
+    """
+    source = vocab.tokens[c_idx]
+    entries: list[tuple[int, str, float]] = []
+    records: list[HEInjection] = []
+    homophones = index.homophones_of(source)
+    if not homophones:
+        return entries, records
+    a_p = min(1.0, math.exp(float(lp[c_idx])))
+    for h_char in homophones:
+        h_idx = vocab.index_of(h_char)
+        if h_idx is None:
+            continue
+        q = min(1.0, math.exp(float(lp[h_idx])))
+        p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
+        if p <= 0.0:
+            continue
+        token = lm.normalize_token(h_char) if lm is not None else h_char
+        entries.append((h_idx, token, math.log(p)))
+        records.append(HEInjection(step, source, h_char, p))
+    return entries, records
 
 
 def extend_homophones(
@@ -275,46 +350,50 @@ def extend_homophones(
     from homophone_adjusted_prob and its LM increment is recomputed for
     h.  Injected and organic hypotheses then compete in one prune.
     Expects the unpruned output of ctc_step(prune=False).
+
+    The adjusted probabilities depend only on the frame and the source
+    character, so each distinct source gets one injection table per
+    call, shared by every hypothesis it extended.
     """
     if not config.he_enabled:
         return _prune(list(hyps), vocab, config)
     lp = np.asarray(frame, dtype=np.float64)
     by_prefix = {h.prefix: h for h in hyps}
-    extended = [h for h in hyps if h.ext_index is not None]
+    # siblings differ only in their last token: index them by parent
+    children: dict[tuple[int, ...], dict[int, BeamHypothesis]] = {}
+    for h in by_prefix.values():
+        if h.prefix:
+            children.setdefault(h.prefix[:-1], {})[h.prefix[-1]] = h
+    tables: dict[int, tuple] = {}
 
-    for hyp in extended:
+    for hyp in hyps:
         c_idx = hyp.ext_index
-        source = vocab.tokens[c_idx]
-        homophones = index.homophones_of(source)
-        if not homophones:
+        if c_idx is None:
             continue
-        a_p = min(1.0, math.exp(float(lp[c_idx])))
+        table = tables.get(c_idx)
+        if table is None:
+            table = tables[c_idx] = _injection_table(c_idx, lp, index, vocab, config, lm, step)
+        entries, records = table
+        if not entries:
+            continue
+        if audit is not None:
+            audit.extend(records)
         parent = hyp.prefix[:-1]
-        for h_char in homophones:
-            h_idx = vocab.index_of(h_char)
-            if h_idx is None:
-                continue
-            q = min(1.0, math.exp(float(lp[h_idx])))
-            p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
-            if p <= 0.0:
-                continue
-            if audit is not None:
-                audit.append(HEInjection(step, source, h_char, p))
-            contrib = hyp.ext_mass + math.log(p)
-            sibling = parent + (h_idx,)
-            existing = by_prefix.get(sibling)
+        siblings = children.setdefault(parent, {})
+        mass = hyp.ext_mass
+        base_lm = hyp.lm_score - hyp.ext_lm_inc
+        ctx = _lm_context(lm, vocab, parent) if lm is not None else ()
+        for h_idx, token, log_p in entries:
+            contrib = mass + log_p
+            existing = siblings.get(h_idx)
             if existing is not None:
-                existing.p_nonblank = max(existing.p_nonblank, contrib)
-            else:
-                inc = _lm_increment(lm, vocab, parent, h_char)
-                rec = BeamHypothesis(
-                    sibling,
-                    NEG_INF,
-                    contrib,
-                    lm_score=hyp.lm_score - hyp.ext_lm_inc + inc,
-                )
-                rec.ext_lm_inc = inc
-                by_prefix[sibling] = rec
+                if contrib > existing.p_nonblank:
+                    existing.p_nonblank = contrib
+                continue
+            inc = lm.conditional_logprob(ctx, token) if lm is not None else 0.0
+            rec = BeamHypothesis(parent + (h_idx,), NEG_INF, contrib, lm_score=base_lm + inc, ext_lm_inc=inc)
+            siblings[h_idx] = rec
+            by_prefix[rec.prefix] = rec
 
     return _prune(list(by_prefix.values()), vocab, config)
 

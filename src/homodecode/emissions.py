@@ -19,6 +19,7 @@ from .errors import (
     MissingBlankDirective,
     RowNotNormalized,
     VocabSizeMismatch,
+    open_text,
 )
 
 EMAT_MAGIC = b"EMAT"
@@ -74,7 +75,7 @@ def load_vocab(path: str) -> Vocabulary:
     The first line must be a "#blank <index>" directive naming the blank
     token's position; remaining lines are tokens in index order.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read()
     lines = text.splitlines()
     if not lines or not lines[0].startswith("#blank"):

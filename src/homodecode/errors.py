@@ -2,10 +2,13 @@
 
 Every error raised on malformed input files carries enough context
 (path, line number) for the CLI to print an actionable message and
-exit with status 2.
+exit with status 2.  open_text opens the toolkit's UTF-8 inputs so that
+undecodable bytes raise such an error too.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 
 class HomodecodeError(Exception):
@@ -24,6 +27,31 @@ class MalformedLine(FormatError):
         self.path = path
         where = f"{path}:{line_no}" if path else f"line {line_no}"
         super().__init__(f"{where}: {message}")
+
+
+def _undecodable(path: str) -> MalformedLine:
+    """A MalformedLine at the line holding path's first non-UTF-8 byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8")
+        # count lines the way text mode splits them (universal newlines)
+        line_no = head.replace("\r\n", "\n").replace("\r", "\n").count("\n") + 1
+        return MalformedLine(line_no, f"not UTF-8: {exc.reason} at byte offset {exc.start}", path)
+    return MalformedLine(0, "not UTF-8", path)
+
+
+@contextlib.contextmanager
+def open_text(path: str):
+    """Open a UTF-8 text file for reading; bytes that do not decode raise
+    MalformedLine naming the file and line instead of UnicodeDecodeError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise _undecodable(path) from None
 
 
 class InvalidTone(FormatError):

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
-from .decoder import DecoderConfig, decode
+from .decoder import DecodeResult, DecoderConfig, decode
 from .emissions import Vocabulary, load_emissions
-from .errors import EmptyReference, HomodecodeError
+from .errors import EmptyReference, HomodecodeError, MalformedLine, open_text
 from .lexicon import HomophoneIndex
 from .ngram_lm import NGramModel
 from .unified_writing import (
@@ -96,10 +96,8 @@ class ManifestEntry:
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     """JSON-lines manifest: {"id": ..., "emissions_path": ..., "reference": ...}."""
-    from .errors import MalformedLine
-
     entries: list[ManifestEntry] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -165,8 +163,10 @@ def run_comparison(
 ) -> list[VariantResult]:
     """Decode every utterance under every variant and tabulate CER.
 
-    Utterances may decode on a small thread pool; results are merged in
-    manifest order so output is independent of completion order.
+    Each distinct decoder config is decoded once: variants that only add
+    UW rewriting reuse the 1-best of the variant they extend.  Utterances
+    may decode on a small thread pool; results are merged in manifest
+    order so output is independent of completion order.
     """
     for variant in variants:
         variant_config(assets.decoder_config, variant)  # validate names upfront
@@ -187,10 +187,7 @@ def run_comparison(
     if assets.uw_on_references:
         references = _rewrite(references, assets)
 
-    results: list[VariantResult] = []
-    for variant in variants:
-        config = variant_config(assets.decoder_config, variant)
-
+    def decode_all(config: DecoderConfig) -> list[DecodeResult]:
         def decode_one(item):
             entry, matrix = item
             try:
@@ -201,9 +198,18 @@ def run_comparison(
         items = list(zip(manifest, matrices))
         if max_workers > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                decoded = list(pool.map(decode_one, items))
-        else:
-            decoded = [decode_one(item) for item in items]
+                return list(pool.map(decode_one, items))
+        return [decode_one(item) for item in items]
+
+    # variants differing only in UW post-processing share one decode
+    decoded_by_config: dict[tuple, list[DecodeResult]] = {}
+    results: list[VariantResult] = []
+    for variant in variants:
+        config = variant_config(assets.decoder_config, variant)
+        key = astuple(config)
+        decoded = decoded_by_config.get(key)
+        if decoded is None:
+            decoded = decoded_by_config[key] = decode_all(config)
 
         hyps = [result.best for result in decoded]
         if variant in ("lm_uw", "lm_he_uw"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import InvalidTone, MalformedLine, MissingChardefBlock
+from .errors import InvalidTone, MalformedLine, MissingChardefBlock, open_text
 
 _JYUTPING_RE = re.compile(r"^([a-z]+)([0-9])$")
 
@@ -93,7 +93,7 @@ def load_lexicon(path: str) -> Lexicon:
     """
     entries: list[tuple[str, JyutpingCode]] = []
     seen: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
             if not line or line.startswith("#"):
@@ -150,7 +150,7 @@ def load_cin_table(path: str) -> GlyphCodeTable:
     saw_block = False
     codes: dict[str, list[str]] = {}
     seen_pairs: set[tuple[str, str]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -7,10 +7,11 @@ scores.  Queries are read-only and safe to run concurrently.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
-from .errors import CountMismatch, MalformedLine, MissingSection
+from .errors import CountMismatch, MalformedLine, MissingSection, open_text
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -64,7 +65,7 @@ def load_arpa(path: str) -> NGramModel:
 
     Each \\N-grams: line is "<logp> <tok1> ... <tokN> [<backoff>]" with
     whitespace separators; entry counts must match the \\data\\
-    declarations.
+    declarations and every number must be finite.
     """
     declared: dict[int, int] = {}
     found: dict[int, int] = {}
@@ -73,7 +74,7 @@ def load_arpa(path: str) -> NGramModel:
     section = None  # None -> preamble, 0 -> \data\, n -> \n-grams:, -1 -> after \end\
     saw_data = False
     saw_end = False
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -112,6 +113,8 @@ def load_arpa(path: str) -> NGramModel:
                 bo = float(fields[-1]) if has_backoff else 0.0
             except ValueError as exc:
                 raise MalformedLine(line_no, f"bad numeric field in {line!r}", path) from exc
+            if not (math.isfinite(logp) and math.isfinite(bo)):
+                raise MalformedLine(line_no, f"non-finite number in {line!r}", path)
             ngram = tuple(fields[1 : n + 1])
             probs[ngram] = logp
             if has_backoff and bo != 0.0:

@@ -21,6 +21,7 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
     ZeroVector,
+    open_text,
 )
 from .lexicon import GlyphCodeTable, Lexicon
 
@@ -123,9 +124,9 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 def load_embeddings(path: str) -> EmbeddingTable:
     """Load a text embedding table: "<count> <dim>" header, then
-    "<char> <f1> ... <fdim>" lines."""
+    "<char> <f1> ... <fdim>" lines of finite, not all zero components."""
     vectors: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(f.isdigit() for f in header):
             raise MalformedLine(1, "expected '<count> <dim>' header", path)
@@ -139,9 +140,12 @@ def load_embeddings(path: str) -> EmbeddingTable:
                 raise MalformedLine(line_no, f"expected {dim} components, got {len(fields) - 1}", path)
             char = fields[0]
             try:
-                vec = np.array([float(f) for f in fields[1:]], dtype=np.float64)
+                values = [float(f) for f in fields[1:]]
             except ValueError as exc:
                 raise MalformedLine(line_no, "bad float component", path) from exc
+            if not all(map(math.isfinite, values)):
+                raise MalformedLine(line_no, f"non-finite component for {char!r}", path)
+            vec = np.array(values, dtype=np.float64)
             if not np.any(vec):
                 raise MalformedLine(line_no, f"zero vector for {char!r}", path)
             vectors[char] = vec
@@ -153,7 +157,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
 def load_frequency_table(path: str) -> FrequencyTable:
     """Load "<char>\\t<count>" TSV."""
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
@@ -296,7 +300,7 @@ def save_pairs(pairs: list[UnifiedPair], path: str) -> None:
 
 def load_pairs(path: str) -> list[UnifiedPair]:
     pairs: list[UnifiedPair] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):

@@ -2,13 +2,28 @@
 
 Nothing here imports decoding or scoring code from the package beyond
 plain data containers, so these stay valid checks of the real
-implementations.
+implementations.  The one exception is the frozen reference beam step at
+the end: it reuses the package's LM queries and homophone_adjusted_prob,
+which have their own oracles, so that its scores can be compared bit for
+bit.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
+
+from homodecode.decoder import (
+    LN10,
+    BeamHypothesis,
+    DecodeResult,
+    HEInjection,
+    NBestEntry,
+    homophone_adjusted_prob,
+)
+from homodecode.ngram_lm import score_increment, score_sequence
 
 NEG_INF = float("-inf")
 
@@ -156,3 +171,177 @@ def plain_prefix_beam_decode(log_probs, blank, tokens, beam_size, alpha, beta,
         result.append((prefix, p_b, p_nb, lm_sc, fused))
     result.sort(key=lambda x: (-x[4], "".join(tokens[i] for i in x[0])))
     return result
+
+
+# --- frozen per-injection beam step (the decoder before its per-frame
+#     injection tables, top-k prune and partitioned candidate selection);
+#     the rewritten step must match it bit for bit ---
+
+def _reference_fused(hyp, config):
+    return (
+        hyp.acoustic_score()
+        + config.alpha * LN10 * hyp.lm_score
+        + config.beta * len(hyp.prefix)
+    )
+
+
+def reference_prune(hyps, vocab, config):
+    for hyp in hyps:
+        hyp.fused_score = _reference_fused(hyp, config)
+    hyps.sort(key=lambda h: (-h.fused_score, h.text(vocab)))
+    return hyps[: config.beam_size]
+
+
+def reference_frame_candidates(lp, blank_index, topk):
+    order = np.argsort(-lp, kind="stable")
+    cands = []
+    for idx in order:
+        i = int(idx)
+        if i == blank_index:
+            continue
+        if lp[i] == NEG_INF:
+            break
+        cands.append(i)
+        if topk and len(cands) >= topk:
+            break
+    return cands
+
+
+def _reference_lm_increment(lm, vocab, prefix, token):
+    if lm is None:
+        return 0.0
+    span = lm.order - 1
+    ctx_ids = prefix[-span:] if span > 0 else ()
+    return score_increment(lm, [vocab.tokens[i] for i in ctx_ids], token)
+
+
+def reference_ctc_step(hyps, frame, vocab, config, lm=None, prune=True):
+    lp = np.asarray(frame, dtype=np.float64)
+    blank = vocab.blank_index
+    lp_blank = float(lp[blank])
+    cands = reference_frame_candidates(lp, blank, config.char_topk)
+    next_recs = {}
+
+    for hyp in hyps:
+        p_tot = _logaddexp(hyp.p_blank, hyp.p_nonblank)
+        if p_tot == NEG_INF:
+            continue
+        last = hyp.prefix[-1] if hyp.prefix else None
+
+        if lp_blank != NEG_INF:
+            rec = next_recs.get(hyp.prefix)
+            if rec is None:
+                rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
+                next_recs[hyp.prefix] = rec
+            rec.p_blank = _logaddexp(rec.p_blank, p_tot + lp_blank)
+
+        for c in cands:
+            lp_c = float(lp[c])
+            if c == last:
+                if hyp.p_nonblank != NEG_INF:
+                    rec = next_recs.get(hyp.prefix)
+                    if rec is None:
+                        rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
+                        next_recs[hyp.prefix] = rec
+                    rec.p_nonblank = _logaddexp(rec.p_nonblank, hyp.p_nonblank + lp_c)
+                mass = hyp.p_blank
+            else:
+                mass = p_tot
+            if mass == NEG_INF:
+                continue
+            new_prefix = hyp.prefix + (c,)
+            rec = next_recs.get(new_prefix)
+            if rec is None:
+                inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
+                rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
+                next_recs[new_prefix] = rec
+            elif rec.ext_index is None:
+                inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
+            else:
+                inc = rec.ext_lm_inc
+            rec.ext_lm_inc = inc
+            rec.p_nonblank = _logaddexp(rec.p_nonblank, mass + lp_c)
+            rec.ext_index = c
+            rec.ext_mass = _logaddexp(rec.ext_mass, mass)
+
+    out = list(next_recs.values())
+    if prune:
+        return reference_prune(out, vocab, config)
+    for rec in out:
+        rec.fused_score = _reference_fused(rec, config)
+    return out
+
+
+def reference_extend_homophones(hyps, frame, index, vocab, config, lm=None, step=0, audit=None):
+    if not config.he_enabled:
+        return reference_prune(list(hyps), vocab, config)
+    lp = np.asarray(frame, dtype=np.float64)
+    by_prefix = {h.prefix: h for h in hyps}
+    extended = [h for h in hyps if h.ext_index is not None]
+
+    for hyp in extended:
+        c_idx = hyp.ext_index
+        source = vocab.tokens[c_idx]
+        homophones = index.homophones_of(source)
+        if not homophones:
+            continue
+        a_p = min(1.0, math.exp(float(lp[c_idx])))
+        parent = hyp.prefix[:-1]
+        for h_char in homophones:
+            h_idx = vocab.index_of(h_char)
+            if h_idx is None:
+                continue
+            q = min(1.0, math.exp(float(lp[h_idx])))
+            p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
+            if p <= 0.0:
+                continue
+            if audit is not None:
+                audit.append(HEInjection(step, source, h_char, p))
+            contrib = hyp.ext_mass + math.log(p)
+            sibling = parent + (h_idx,)
+            existing = by_prefix.get(sibling)
+            if existing is not None:
+                existing.p_nonblank = max(existing.p_nonblank, contrib)
+            else:
+                inc = _reference_lm_increment(lm, vocab, parent, h_char)
+                rec = BeamHypothesis(
+                    sibling,
+                    NEG_INF,
+                    contrib,
+                    lm_score=hyp.lm_score - hyp.ext_lm_inc + inc,
+                )
+                rec.ext_lm_inc = inc
+                by_prefix[sibling] = rec
+
+    return reference_prune(list(by_prefix.values()), vocab, config)
+
+
+def reference_decode(emissions, vocab, index, lm, config):
+    """decode() driven by the frozen reference step above."""
+    he_on = config.he_enabled and index is not None
+    audit = []
+    log_probs = emissions.log_probs.astype(np.float64)
+    beam = [BeamHypothesis((), 0.0, NEG_INF)]
+    for t in range(emissions.frames):
+        row = log_probs[t]
+        if he_on:
+            expanded = reference_ctc_step(beam, row, vocab, config, lm, prune=False)
+            beam = reference_extend_homophones(expanded, row, index, vocab, config, lm, step=t, audit=audit)
+        else:
+            beam = reference_ctc_step(beam, row, vocab, config, lm, prune=True)
+
+    top = sorted(beam, key=lambda h: (-h.fused_score, h.text(vocab)))[: config.nbest]
+    entries = []
+    for hyp in top:
+        transcript = hyp.text(vocab)
+        acoustic = hyp.acoustic_score()
+        lm_sc = hyp.lm_score
+        if config.rescore_enabled and lm is not None:
+            lm_sc = score_sequence(lm, [vocab.tokens[i] for i in hyp.prefix])
+            final = acoustic + config.alpha * LN10 * lm_sc + config.beta * len(hyp.prefix)
+        else:
+            final = hyp.fused_score
+        entries.append(NBestEntry(transcript, final, acoustic, lm_sc))
+    if config.rescore_enabled:
+        entries.sort(key=lambda e: (-e.fused_score, e.transcript))
+    return DecodeResult(tuple(entries), tuple(audit))

@@ -155,6 +155,22 @@ def test_uw_discover_unreachable_cosine(uw_world, capsys):
     assert capsys.readouterr().out == "0\n"
 
 
+def test_uw_discover_non_utf8_lexicon_exit_2(uw_world, tmp_path, capsys):
+    bad = tmp_path / "utf16.tsv"
+    bad.write_bytes(b"\xff\xfe" + "左\tzo2\n".encode("utf-16-le"))
+    code = main(
+        [
+            "uw", "discover",
+            "--lexicon", str(bad),
+            "--cin-dir", uw_world["cin_dir"],
+            "--embeddings", uw_world["embeddings"],
+            "--out", str(tmp_path / "pairs.tsv"),
+        ]
+    )
+    assert code == 2
+    assert f"{bad}:1: not UTF-8" in capsys.readouterr().err
+
+
 def test_uw_discover_empty_lexicon(uw_world, tmp_path, capsys):
     empty = write_lexicon(tmp_path / "empty.tsv", [])
     out = tmp_path / "pairs.tsv"
@@ -352,6 +368,14 @@ def test_compare_honors_thread_env(compare_world, capsys, monkeypatch):
     main(args)
     threaded_out = capsys.readouterr().out
     assert serial_out == threaded_out
+
+
+def test_compare_non_utf8_config_exit_2(compare_world, tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes('{\n"vocab": "vocabulário.txt"\n}\n'.encode("latin-1"))
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(bad)])
+    assert code == 2
+    assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
 
 def test_compare_empty_manifest_exit_2(compare_world, tmp_path, capsys):

@@ -8,6 +8,7 @@ from homodecode.decoder import (
     LN10,
     BeamHypothesis,
     DecoderConfig,
+    _frame_candidates,
     ctc_step,
     decode,
     extend_homophones,
@@ -19,7 +20,13 @@ from homodecode.lexicon import build_homophone_index, load_lexicon
 from homodecode.ngram_lm import load_arpa, score_increment
 
 from helpers import write_arpa, write_lexicon
-from oracles import best_ctc_transcript, enumerate_ctc_posteriors, plain_prefix_beam_decode
+from oracles import (
+    best_ctc_transcript,
+    enumerate_ctc_posteriors,
+    plain_prefix_beam_decode,
+    reference_decode,
+    reference_frame_candidates,
+)
 
 NEG_INF = float("-inf")
 
@@ -443,3 +450,91 @@ def test_nbest_sorted_with_code_point_ties():
     assert scores == sorted(scores, reverse=True)
     tied = [e.transcript for e in result.nbest if e.fused_score == result.nbest[1].fused_score]
     assert tied == sorted(tied)
+
+
+# --- the per-frame beam step against the frozen per-injection reference ---
+
+
+def _quantised_rows(rng, frames, width):
+    """Linear rows whose weights come from a few levels, so top-k cuts
+    fall on ties, and whose zero weights become -inf log-probs."""
+    rows = []
+    for _ in range(frames):
+        if rng.random() < 0.5:
+            weights = [rng.choice((0.0, 1.0, 1.0, 2.0, 3.0)) for _ in range(width)]
+            if not any(weights):
+                weights[rng.randrange(width)] = 1.0
+        else:
+            weights = [rng.random() + 1e-3 for _ in range(width)]
+        total = sum(weights)
+        rows.append([w / total for w in weights])
+    return rows
+
+
+def _random_he_world(rng, path):
+    """Polyphonic lexicon, a vocabulary missing some homophones, and an
+    order-3 LM that leaves some vocabulary tokens out of vocabulary."""
+    pool = "左阻俎柤詛座世細勢婿貰些王黃皇簧"
+    codes = ("zo2", "zo6", "sai3", "sai2", "wong4")
+    entries = [(char, code) for char in pool for code in rng.sample(codes, rng.randint(1, 2))]
+    index = build_homophone_index(load_lexicon(write_lexicon(path / "lex.tsv", entries)))
+    chars = rng.sample(pool, rng.randint(4, 9)) + ["面"]
+    blank = rng.randrange(len(chars) + 1)
+    tokens = chars[:blank] + ["<b>"] + chars[blank:]
+    vocab = Vocabulary(tuple(tokens), blank)
+    known = rng.sample(chars, len(chars) - 2)
+    unigrams = {t: (round(rng.uniform(-3.0, -0.2), 4), round(rng.uniform(-0.8, -0.05), 4))
+                for t in known + ["<unk>", "<s>"]}
+    bigrams = {}
+    for u in known + ["<s>"]:
+        for w in rng.sample(known, 3):
+            bigrams[(u, w)] = (round(rng.uniform(-2.0, -0.1), 4), round(rng.uniform(-0.8, -0.05), 4))
+    trigrams = {}
+    for u, w in rng.sample(sorted(bigrams), 8):
+        for v in rng.sample(known, 2):
+            trigrams[(u, w, v)] = round(rng.uniform(-1.5, -0.05), 4)
+    lm = load_arpa(write_arpa(path / "lm.arpa", unigrams, bigrams, trigrams))
+    assert lm.order == 3
+    return vocab, index, lm
+
+
+def test_beam_step_bit_identical_to_reference(tmp_path):
+    rng = random.Random(2302)
+    for world in range(6):
+        path = tmp_path / f"w{world}"
+        path.mkdir()
+        vocab, index, lm = _random_he_world(rng, path)
+        width = vocab.size
+        for _ in range(25):
+            matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(1, 5), width))
+            config = DecoderConfig(
+                beam_size=rng.randint(1, 4),
+                alpha=rng.choice((0.0, rng.uniform(0.0, 1.0))),
+                beta=rng.uniform(-0.5, 2.0),
+                gamma=rng.random(),
+                he_enabled=rng.random() < 0.8,
+                nbest=rng.randint(1, 5),
+                rescore_enabled=rng.random() < 0.5,
+                char_topk=rng.choice((0, 1, 2, width - 2, width - 1, width + 3)),
+            )
+            use_lm = lm if rng.random() < 0.8 else None
+            got = decode(matrix, vocab, index, use_lm, config)
+            want = reference_decode(matrix, vocab, index, use_lm, config)
+            assert [(e.transcript, e.fused_score, e.acoustic_score, e.lm_score) for e in got.nbest] == [
+                (e.transcript, e.fused_score, e.acoustic_score, e.lm_score) for e in want.nbest
+            ]
+            assert [(r.step, r.source, r.injected, r.prob) for r in got.he_injections] == [
+                (r.step, r.source, r.injected, r.prob) for r in want.he_injections
+            ]
+
+
+def test_frame_candidates_match_full_sort_on_ties_and_non_finite():
+    rng = random.Random(17)
+    for _ in range(300):
+        width = rng.randint(2, 40)
+        levels = (NEG_INF, float("nan"), -3.0, -2.0, -2.0, -1.0, -0.5)
+        lp = np.array([rng.choice(levels) for _ in range(width)])
+        blank = rng.randrange(width)
+        for topk in (0, 1, 2, 5, width - 2, width - 1, width, width + 1):
+            topk = max(topk, 0)
+            assert _frame_candidates(lp, blank, topk) == reference_frame_candidates(lp, blank, topk)

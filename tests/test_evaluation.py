@@ -207,3 +207,30 @@ def test_run_comparison_parallel_matches_serial(small_world):
     serial = run_comparison(manifest, assets, ("baseline", "lm_he"), max_workers=1)
     threaded = run_comparison(manifest, assets, ("baseline", "lm_he"), max_workers=4)
     assert serial == threaded
+
+
+def test_uw_variants_reuse_the_decode_of_their_base(small_world, monkeypatch):
+    from homodecode import evaluation
+    from homodecode.unified_writing import EmbeddingTable
+
+    vocab, index, lm, manifest = small_world
+    assets = ComparisonAssets(
+        vocab=vocab, index=index, lm=lm, decoder_config=DecoderConfig(),
+        uw_pairs=[UnifiedPair("左", "阻", 0.0, (("m", 0.25),), 0.95)],
+        uw_freq=FrequencyTable({"阻": 10, "左": 1}),
+        uw_emb=EmbeddingTable(1, {}), uw_config=UWConfig(),
+    )
+    calls = []
+    real_decode = evaluation.decode
+
+    def counting_decode(matrix, vocab, index, lm, config):
+        calls.append(config)
+        return real_decode(matrix, vocab, index, lm, config)
+
+    monkeypatch.setattr(evaluation, "decode", counting_decode)
+    reused = {r.variant: r for r in run_comparison(manifest, assets)}
+    # baseline, lm and lm_he: lm_uw and lm_he_uw reuse lm and lm_he
+    assert len(calls) == 3 * len(manifest)
+    for base, with_uw in (("lm", "lm_uw"), ("lm_he", "lm_he_uw")):
+        assert reused[with_uw].he_injections == reused[base].he_injections
+        assert reused[with_uw].he_in_best == reused[base].he_in_best

@@ -172,3 +172,12 @@ def test_cin_realistic_header_blocks(tmp_path):
     table = load_cin_table(str(path))
     assert table.method_name == "Cangjie5"
     assert table.codes == {"日": ("a",), "明": ("ab",)}
+
+
+def test_non_utf8_bytes_name_file_and_line(tmp_path):
+    path = tmp_path / "lex.tsv"
+    path.write_bytes("左\tzo2\r\n阻\tzo2\r\n".encode("utf-8") + b"\xff\tzo2\n")
+    with pytest.raises(MalformedLine) as exc:
+        load_lexicon(str(path))
+    assert exc.value.line_no == 3
+    assert exc.value.path == str(path)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homodecode.errors import CountMismatch, MissingSection
+from homodecode.errors import CountMismatch, MalformedLine, MissingSection
 from homodecode.ngram_lm import UNK_FALLBACK_LOG10, load_arpa, score_increment, score_sequence
 
 from helpers import write_arpa, write_random_arpa, write_toy_arpa
@@ -140,3 +140,13 @@ def test_incremental_consistency(tmp_path):
 
 def test_probabilities_nonpositive(toy_model):
     assert all(p <= 0.0 for p in toy_model.probs.values())
+
+
+@pytest.mark.parametrize("entry", ["nan\ta", "-inf\ta", "-0.5\ta\tinf"])
+def test_non_finite_numbers_rejected(tmp_path, entry):
+    path = tmp_path / "bad.arpa"
+    path.write_text(f"\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\tb\n{entry}\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_arpa(str(path))
+    assert exc.value.line_no == 6
+    assert exc.value.path == str(path)

@@ -114,6 +114,17 @@ def test_load_embeddings_zero_vector_rejected(tmp_path):
         load_embeddings(str(path))
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+def test_load_embeddings_non_finite_rejected(tmp_path, component):
+    # a NaN vector would pass every cosine gate: nan < cosine_min is False
+    path = tmp_path / "emb.vec"
+    path.write_text(f"2 2\n左 1.0 0.0\n阻 {component} 1.0\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_embeddings(str(path))
+    assert exc.value.line_no == 3
+    assert exc.value.path == str(path)
+
+
 def test_load_embeddings_count_mismatch(tmp_path):
     path = tmp_path / "emb.vec"
     path.write_text("2 2\n左 1.0 0.0\n", encoding="utf-8")
