@@ -40,16 +40,6 @@ from .unified_writing import (
 )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("HOMODECODE_THREADS")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise FormatError(f"HOMODECODE_THREADS={raw!r} is not an integer")
-    return os.cpu_count() or 1
-
-
 @dataclass
 class ToolConfig:
     """Paths plus decoder/UW settings, loaded from a JSON config file."""
@@ -231,7 +221,7 @@ def cmd_compare(args) -> int:
         uw_config=config.uw,
         uw_on_references=config.uw_on_references,
     )
-    results = run_comparison(manifest, assets, variants, max_workers=_thread_count())
+    results = run_comparison(manifest, assets, variants)
     table = comparison_table(results)
     sys.stdout.write(table)
     os.makedirs(config.output_dir, exist_ok=True)

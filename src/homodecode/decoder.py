@@ -45,9 +45,11 @@ class DecoderConfig:
     """Beam search knobs.
 
     char_topk preselects that many highest-probability characters per
-    frame before extension (0 considers the whole vocabulary).  It keeps
-    a 32k-character vocabulary decodable in a hot pure-Python loop; any
-    input with V <= char_topk is searched exactly.
+    frame before extension (0 considers the whole vocabulary); any input
+    with V <= char_topk is searched exactly.  Each hypothesis still
+    extends by a Python loop over the candidates (homophone siblings are
+    scored as arrays), so this bound is what keeps a 32k-character
+    vocabulary fast.
     """
 
     beam_size: int = 20
@@ -60,6 +62,9 @@ class DecoderConfig:
     char_topk: int = 64
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
         if not 0.0 <= self.gamma <= 1.0:
@@ -236,14 +241,15 @@ def ctc_step(
     expanded set is returned so homophone injection can compete in the
     same step's prune.
     """
-    lp = np.asarray(frame, dtype=np.float64)
+    lp = np.asarray(frame)
     blank = vocab.blank_index
     lp_blank = float(lp[blank])
-    # (index, log-prob, LM token) per candidate, shared by every hypothesis
-    cands = [
-        (c, float(lp[c]), lm.normalize_token(vocab.tokens[c]) if lm is not None else None)
-        for c in _frame_candidates(lp, blank, config.char_topk)
-    ]
+    cand_ids = _frame_candidates(lp, blank, config.char_topk)
+    cands = [(c, float(lp[c])) for c in cand_ids]
+    if lm is not None:
+        cand_pos = np.array([lm.row_index(vocab.tokens[c]) for c in cand_ids], dtype=np.intp)
+    else:
+        incs = [0.0] * len(cands)
     next_recs: dict[tuple[int, ...], BeamHypothesis] = {}
 
     for hyp in hyps:
@@ -251,7 +257,8 @@ def ctc_step(
         if p_tot == NEG_INF:
             continue
         last = hyp.prefix[-1] if hyp.prefix else None
-        ctx = _lm_context(lm, vocab, hyp.prefix) if lm is not None else ()
+        if lm is not None:  # every candidate's LM increment, from one row
+            incs = lm.logprob_row(_lm_context(lm, vocab, hyp.prefix))[cand_pos].tolist()
 
         if lp_blank != NEG_INF:
             rec = next_recs.get(hyp.prefix)
@@ -260,7 +267,7 @@ def ctc_step(
                 next_recs[hyp.prefix] = rec
             rec.p_blank = _logaddexp(rec.p_blank, p_tot + lp_blank)
 
-        for c, lp_c, token in cands:
+        for (c, lp_c), inc in zip(cands, incs):
             if c == last:
                 if hyp.p_nonblank != NEG_INF:
                     rec = next_recs.get(hyp.prefix)
@@ -275,15 +282,13 @@ def ctc_step(
                 continue
             new_prefix = hyp.prefix + (c,)
             rec = next_recs.get(new_prefix)
-            if rec is None or rec.ext_index is None:
-                # a record seeded by the surviving prefix's blank/repeat
-                # path still needs the extension increment for injection
-                inc = lm.conditional_logprob(ctx, token) if lm is not None else 0.0
-                if rec is None:
-                    rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
-                    next_recs[new_prefix] = rec
-            else:
+            if rec is None:
+                rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
+                next_recs[new_prefix] = rec
+            elif rec.ext_index is not None:
                 inc = rec.ext_lm_inc
+            # a record seeded by the surviving prefix's blank/repeat path
+            # still needs the extension increment for injection
             rec.ext_lm_inc = inc
             rec.p_nonblank = _logaddexp(rec.p_nonblank, mass + lp_c)
             rec.ext_index = c
@@ -304,15 +309,15 @@ def _injection_table(
     config: DecoderConfig,
     lm: NGramModel | None,
     step: int,
-) -> tuple[list[tuple[int, str, float]], list[HEInjection]]:
+) -> tuple[list[tuple[int, int, float]], list[HEInjection]]:
     """This frame's injections for source character c_idx.
 
-    Returns (homophone index, LM token, log adjusted probability) per
-    in-vocabulary homophone with a positive adjusted probability, and the
-    matching audit records, in homophones_of order.
+    Returns (homophone index, LM row position, log adjusted probability)
+    per in-vocabulary homophone with a positive adjusted probability, and
+    the matching audit records, in homophones_of order.
     """
     source = vocab.tokens[c_idx]
-    entries: list[tuple[int, str, float]] = []
+    entries: list[tuple[int, int, float]] = []
     records: list[HEInjection] = []
     homophones = index.homophones_of(source)
     if not homophones:
@@ -326,10 +331,44 @@ def _injection_table(
         p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
         if p <= 0.0:
             continue
-        token = lm.normalize_token(h_char) if lm is not None else h_char
-        entries.append((h_idx, token, math.log(p)))
+        entries.append((h_idx, lm.row_index(h_char) if lm is not None else 0, math.log(p)))
         records.append(HEInjection(step, source, h_char, p))
     return entries, records
+
+
+def _merge_siblings(
+    entries: list[tuple[int, int, float]],
+    table_start: list[int],
+    table_size: list[int],
+    src_table: list[int],
+    src_parent: list[int],
+    src_mass: list[float],
+    width: int,
+) -> tuple[np.ndarray, ...]:
+    """Every proposed sibling as arrays, merged per (parent, homophone).
+
+    Source i (an extended hypothesis) proposes one sibling per entry of
+    its injection table src_table[i], keyed parent * width + homophone,
+    with mass src_mass[i] + log adjusted probability.  Returns, per
+    distinct key in ascending order: the key, the index of its first
+    proposal in creation order, that proposal's source and entry, and
+    the largest mass of all its proposals.
+    """
+    h_ids = np.array([h_idx for h_idx, _, _ in entries])
+    log_ps = np.array([log_p for _, _, log_p in entries])
+    src_tab = np.array(src_table, dtype=np.intp)
+    counts = np.array(table_size, dtype=np.intp)[src_tab]
+    src = np.repeat(np.arange(len(src_table)), counts)
+    skip = np.cumsum(counts) - counts - np.array(table_start, dtype=np.intp)[src_tab]
+    entry = np.arange(int(counts.sum())) - np.repeat(skip, counts)
+    keys = np.array(src_parent, dtype=np.int64)[src] * width + h_ids[entry]
+    # a stable sort puts each key's first proposal first
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    heads = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
+    first = order[heads]
+    contrib = np.array(src_mass)[src] + log_ps[entry]
+    return sorted_keys[heads], first, src[first], entry[first], np.maximum.reduceat(contrib[order], heads)
 
 
 def extend_homophones(
@@ -353,49 +392,107 @@ def extend_homophones(
 
     The adjusted probabilities depend only on the frame and the source
     character, so each distinct source gets one injection table per
-    call, shared by every hypothesis it extended.
+    call, shared by every hypothesis it extended.  Siblings are scored
+    as arrays: a sibling reached from several sources (or several
+    hypotheses with one parent) keeps the largest non-blank mass and the
+    LM score of its first creator, one reached organically too is merged
+    into that hypothesis, and LM increments come from one logprob_row
+    per parent.  Only siblings scoring at least the beam_size-th best
+    fused score become BeamHypothesis objects.
     """
     if not config.he_enabled:
         return _prune(list(hyps), vocab, config)
-    lp = np.asarray(frame, dtype=np.float64)
-    by_prefix = {h.prefix: h for h in hyps}
-    # siblings differ only in their last token: index them by parent
-    children: dict[tuple[int, ...], dict[int, BeamHypothesis]] = {}
-    for h in by_prefix.values():
-        if h.prefix:
-            children.setdefault(h.prefix[:-1], {})[h.prefix[-1]] = h
-    tables: dict[int, tuple] = {}
+    lp = np.asarray(frame)
+    organic = list({h.prefix: h for h in hyps}.values())
+    tables: dict[int, int] = {}  # source vocab id -> table number
+    table_start: list[int] = []
+    table_size: list[int] = []
+    table_records: list[list[HEInjection]] = []
+    entries: list[tuple[int, int, float]] = []  # every table, concatenated
+    parents: dict[tuple[int, ...], int] = {}
+    # per extended hypothesis with injections: table, parent, mass, LM score of the parent
+    src_table: list[int] = []
+    src_parent: list[int] = []
+    src_mass: list[float] = []
+    src_base_lm: list[float] = []
 
     for hyp in hyps:
         c_idx = hyp.ext_index
         if c_idx is None:
             continue
-        table = tables.get(c_idx)
-        if table is None:
-            table = tables[c_idx] = _injection_table(c_idx, lp, index, vocab, config, lm, step)
-        entries, records = table
-        if not entries:
+        t = tables.get(c_idx)
+        if t is None:
+            t = tables[c_idx] = len(table_start)
+            table, records = _injection_table(c_idx, lp, index, vocab, config, lm, step)
+            table_start.append(len(entries))
+            table_size.append(len(table))
+            table_records.append(records)
+            entries.extend(table)
+        if not table_size[t]:
             continue
         if audit is not None:
-            audit.extend(records)
-        parent = hyp.prefix[:-1]
-        siblings = children.setdefault(parent, {})
-        mass = hyp.ext_mass
-        base_lm = hyp.lm_score - hyp.ext_lm_inc
-        ctx = _lm_context(lm, vocab, parent) if lm is not None else ()
-        for h_idx, token, log_p in entries:
-            contrib = mass + log_p
-            existing = siblings.get(h_idx)
-            if existing is not None:
-                if contrib > existing.p_nonblank:
-                    existing.p_nonblank = contrib
-                continue
-            inc = lm.conditional_logprob(ctx, token) if lm is not None else 0.0
-            rec = BeamHypothesis(parent + (h_idx,), NEG_INF, contrib, lm_score=base_lm + inc, ext_lm_inc=inc)
-            siblings[h_idx] = rec
-            by_prefix[rec.prefix] = rec
+            audit.extend(table_records[t])
+        src_table.append(t)
+        src_parent.append(parents.setdefault(hyp.prefix[:-1], len(parents)))
+        src_mass.append(hyp.ext_mass)
+        src_base_lm.append(hyp.lm_score - hyp.ext_lm_inc)
+    if not src_table:
+        return _prune(organic, vocab, config)
 
-    return _prune(list(by_prefix.values()), vocab, config)
+    width = vocab.size
+    sib_keys, first, first_src, first_entry, p_nonblank = _merge_siblings(
+        entries, table_start, table_size, src_table, src_parent, src_mass, width
+    )
+
+    parent_list = list(parents)
+    by_key: dict[int, BeamHypothesis] = {}
+    for hyp in organic:
+        if hyp.prefix:
+            pid = parents.get(hyp.prefix[:-1])
+            if pid is not None:
+                by_key[pid * width + hyp.prefix[-1]] = hyp
+    if by_key:
+        hit = np.isin(sib_keys, np.fromiter(by_key, dtype=np.int64, count=len(by_key)))
+        for key, mass in zip(sib_keys[hit].tolist(), p_nonblank[hit].tolist()):
+            rec = by_key[key]
+            if mass > rec.p_nonblank:
+                rec.p_nonblank = mass
+        fresh = ~hit
+        sib_keys, first, first_src, first_entry, p_nonblank = (
+            column[fresh] for column in (sib_keys, first, first_src, first_entry, p_nonblank)
+        )
+
+    # sorted keys group the remaining siblings by parent
+    sib_parent = sib_keys // width
+    inc = np.zeros(sib_keys.shape[0])
+    if lm is not None:
+        sib_pos = np.array([pos for _, pos, _ in entries])[first_entry]
+        starts = np.flatnonzero(np.diff(sib_parent, prepend=-1)).tolist()
+        for lo, hi in zip(starts, starts[1:] + [sib_keys.shape[0]]):
+            ctx = _lm_context(lm, vocab, parent_list[int(sib_parent[lo])])
+            inc[lo:hi] = lm.logprob_row(ctx)[sib_pos[lo:hi]]
+    lm_score = np.array(src_base_lm)[first_src] + inc
+    lengths = np.array([len(p) + 1 for p in parent_list])[sib_parent]
+    lm_weight = config.alpha * LN10
+    fused = (p_nonblank + lm_weight * lm_score) + config.beta * lengths
+
+    # only hypotheses at or above the beam_size-th best score can survive _prune
+    _score(organic, config)
+    chosen = np.arange(fused.shape[0])
+    total = len(organic) + fused.shape[0]
+    if total > config.beam_size:
+        scores = np.concatenate((np.array([h.fused_score for h in organic]), fused))
+        cut = np.partition(scores, total - config.beam_size)[total - config.beam_size]
+        organic = [h for h in organic if h.fused_score >= cut]
+        chosen = np.flatnonzero(fused >= cut)
+    chosen = chosen[np.argsort(first[chosen], kind="stable")]
+    survivors = [
+        BeamHypothesis(parent_list[key // width] + (key % width,), NEG_INF, mass, lm_score=lm_sc, ext_lm_inc=lm_inc)
+        for key, mass, lm_sc, lm_inc in zip(
+            sib_keys[chosen].tolist(), p_nonblank[chosen].tolist(), lm_score[chosen].tolist(), inc[chosen].tolist()
+        )
+    ]
+    return _prune(organic + survivors, vocab, config)
 
 
 def decode(
@@ -417,7 +514,7 @@ def decode(
         raise EmptyEmissions()
     he_on = config.he_enabled and index is not None
     audit: list[HEInjection] = []
-    log_probs = emissions.log_probs.astype(np.float64)
+    log_probs = emissions.log_probs
 
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(emissions.frames):

@@ -9,7 +9,6 @@ of utterances under a ladder of method variants (baseline / +lm / +HE /
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, replace
 
 from .decoder import DecodeResult, DecoderConfig, decode
@@ -159,14 +158,12 @@ def run_comparison(
     manifest: list[ManifestEntry],
     assets: ComparisonAssets,
     variants: tuple[str, ...] = VARIANTS,
-    max_workers: int = 1,
 ) -> list[VariantResult]:
     """Decode every utterance under every variant and tabulate CER.
 
     Each distinct decoder config is decoded once: variants that only add
     UW rewriting reuse the 1-best of the variant they extend.  Utterances
-    may decode on a small thread pool; results are merged in manifest
-    order so output is independent of completion order.
+    decode one after another in manifest order.
     """
     for variant in variants:
         variant_config(assets.decoder_config, variant)  # validate names upfront
@@ -177,29 +174,20 @@ def run_comparison(
         except Exception as exc:
             raise UtteranceError(entry.utt_id, str(exc)) from exc
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            matrices = list(pool.map(load_one, manifest))
-    else:
-        matrices = [load_one(entry) for entry in manifest]
+    matrices = [load_one(entry) for entry in manifest]
 
     references = [entry.reference for entry in manifest]
     if assets.uw_on_references:
         references = _rewrite(references, assets)
 
     def decode_all(config: DecoderConfig) -> list[DecodeResult]:
-        def decode_one(item):
-            entry, matrix = item
+        results = []
+        for entry, matrix in zip(manifest, matrices):
             try:
-                return decode(matrix, assets.vocab, assets.index, assets.lm, config)
+                results.append(decode(matrix, assets.vocab, assets.index, assets.lm, config))
             except Exception as exc:
                 raise UtteranceError(entry.utt_id, str(exc)) from exc
-
-        items = list(zip(manifest, matrices))
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(decode_one, items))
-        return [decode_one(item) for item in items]
+        return results
 
     # variants differing only in UW post-processing share one decode
     decoded_by_config: dict[tuple, list[DecodeResult]] = {}
@@ -211,14 +199,13 @@ def run_comparison(
         if decoded is None:
             decoded = decoded_by_config[key] = decode_all(config)
 
-        hyps = [result.best for result in decoded]
-        if variant in ("lm_uw", "lm_he_uw"):
-            hyps = _rewrite(hyps, assets)
+        bests = [result.best for result in decoded]
+        hyps = _rewrite(bests, assets) if variant in ("lm_uw", "lm_he_uw") else bests
 
         injections = sum(len(result.he_injections) for result in decoded)
         in_best = sum(
-            sum(1 for rec in result.he_injections if rec.injected in result.best)
-            for result in decoded
+            sum(1 for rec in result.he_injections if rec.injected in best)
+            for result, best in zip(decoded, bests)
         )
         report = evaluate(
             [(entry.utt_id, ref, hyp) for entry, ref, hyp in zip(manifest, references, hyps)]

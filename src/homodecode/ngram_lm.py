@@ -2,14 +2,29 @@
 
 Scores are log10, matching the ARPA interchange format; the decoder
 converts to natural log (multiply by ln 10) when fusing with acoustic
-scores.  Queries are read-only and safe to run concurrently.
+scores.
+
+Two query paths give equal numbers.  conditional_logprob walks the
+back-off recursion over the probs/backoffs dicts for one token; it
+serves sequence scoring and rescoring.  logprob_row scores every token
+at once for one context: each unigram and <unk> has a row position, and
+the row starts from the unigram vector plus the summed back-off weights,
+then takes each stored higher-order n-gram of the context's suffixes,
+shortest suffix first.  The vectors it needs (unigram scores, and the
+successors of every context as flat position/score arrays) are built on
+the first row query and cached on the model, so loading stays a plain
+parse.  Queries are read-only and safe to run concurrently; concurrent
+first row queries may each build that view, and all builds are equal.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import CountMismatch, MalformedLine, MissingSection, open_text
 
@@ -25,6 +40,42 @@ _NGRAM_DECL_RE = re.compile(r"^ngram\s+(\d+)\s*=\s*(\d+)$")
 _SECTION_RE = re.compile(r"^\\(\d+)-grams:$")
 
 
+@dataclass(frozen=True)
+class _RowView:
+    """Dense form of a model for logprob_row.
+
+    Row positions are the unigrams in code-point order, then <unk> if it
+    is not a unigram; a token's position is found by bisection, so no
+    per-token map is kept.  The successors of a context are succ[lo:hi]
+    (row positions) with scores succ_logp[lo:hi], where lo, hi =
+    starts[slot : slot + 2]; a one-token context whose token has a row
+    position uses that position as its slot, every other context has
+    one in long_slots.
+    """
+
+    tokens: list[str]
+    unk: str
+    unk_position: int
+    unigram: np.ndarray
+    long_slots: dict[tuple[str, ...], int]
+    starts: np.ndarray
+    succ: np.ndarray
+    succ_logp: np.ndarray
+
+    def position(self, token: str) -> int | None:
+        i = bisect_left(self.tokens, token)
+        if i < len(self.tokens) and self.tokens[i] == token:
+            return i
+        return self.unk_position if token == self.unk else None
+
+    def slot(self, context: tuple[str, ...]) -> int | None:
+        if len(context) == 1:
+            slot = self.position(context[0])
+            if slot is not None:
+                return slot
+        return self.long_slots.get(context)
+
+
 @dataclass
 class NGramModel:
     """Back-off model: probs/backoffs keyed by token tuples of any order."""
@@ -36,6 +87,7 @@ class NGramModel:
     start: str = SENTENCE_START
     end: str = SENTENCE_END
     unk: str = UNKNOWN
+    _rows: _RowView | None = field(default=None, init=False, repr=False, compare=False)
 
     def normalize_token(self, token: str) -> str:
         """Map tokens absent from the unigram table to the unknown symbol."""
@@ -58,6 +110,73 @@ class NGramModel:
                 return acc + UNK_FALLBACK_LOG10
             acc += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
+
+    def row_index(self, token: str) -> int:
+        """Position of normalize_token(token) in the rows of logprob_row."""
+        view = self._rows or self._build_rows()
+        position = view.position(token)
+        return view.unk_position if position is None else position
+
+    def logprob_row(self, context: tuple[str, ...]) -> np.ndarray:
+        """log10 P(t | context) for every row position t, as a new array.
+
+        Each element equals conditional_logprob(context, t) exactly: the
+        back-off weights are summed in the same order and each score is
+        one addition of that sum and a stored log-probability.
+        """
+        view = self._rows or self._build_rows()
+        overrides = []  # (back-off sum, lo, hi), longest context first
+        acc = 0.0
+        ctx = context
+        while ctx:
+            slot = view.slot(ctx)
+            if slot is not None:
+                lo, hi = view.starts[slot : slot + 2]
+                if lo < hi:
+                    overrides.append((acc, lo, hi))
+            acc += self.backoffs.get(ctx, 0.0)
+            ctx = ctx[1:]
+        row = acc + view.unigram
+        for acc_k, lo, hi in reversed(overrides):
+            row[view.succ[lo:hi]] = acc_k + view.succ_logp[lo:hi]
+        return row
+
+    def _build_rows(self) -> _RowView:
+        tokens = sorted(gram[0] for gram in self.probs if len(gram) == 1)
+        unigram = [self.probs[(token,)] for token in tokens]
+        positions = {token: i for i, token in enumerate(tokens)}  # only while building
+        if self.unk not in positions:
+            positions[self.unk] = len(unigram)
+            unigram.append(UNK_FALLBACK_LOG10)
+        long_slots: dict[tuple[str, ...], int] = {}
+        slots: list[int] = []
+        succ: list[int] = []
+        succ_logp: list[float] = []
+        for gram, logp in self.probs.items():
+            position = positions.get(gram[-1])
+            if len(gram) == 1 or position is None:
+                continue  # unigrams fill the base row; other tokens have no row position
+            context = gram[:-1]
+            slot = positions.get(context[0]) if len(context) == 1 else None
+            if slot is None:
+                slot = long_slots.setdefault(context, len(positions) + len(long_slots))
+            slots.append(slot)
+            succ.append(position)
+            succ_logp.append(logp)
+        slot_arr = np.array(slots, dtype=np.intp)
+        order = np.argsort(slot_arr, kind="stable")
+        view = _RowView(
+            tokens=tokens,
+            unk=self.unk,
+            unk_position=positions[self.unk],
+            unigram=np.array(unigram, dtype=np.float64),
+            long_slots=long_slots,
+            starts=np.searchsorted(slot_arr[order], np.arange(len(positions) + len(long_slots) + 1)),
+            succ=np.array(succ, dtype=np.intp)[order],
+            succ_logp=np.array(succ_logp, dtype=np.float64)[order],
+        )
+        self._rows = view
+        return view
 
 
 def load_arpa(path: str) -> NGramModel:

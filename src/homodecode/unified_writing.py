@@ -38,6 +38,9 @@ class UWConfig:
     min_methods: int | None = None
 
     def __post_init__(self):
+        for name in ("jyutping_max_distance", "glyph_max_distance", "cosine_min", "checker_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("jyutping_max_distance", "glyph_max_distance"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -314,17 +317,19 @@ def load_pairs(path: str) -> list[UnifiedPair]:
                     for part in fields[4].split(";")
                     if part
                 )
-                pairs.append(
-                    UnifiedPair(
-                        variant=fields[0],
-                        canonical=fields[1],
-                        jyutping_distance=float(fields[2]),
-                        glyph_distances=glyph_distances,
-                        cosine=float(fields[3]),
-                    )
+                pair = UnifiedPair(
+                    variant=fields[0],
+                    canonical=fields[1],
+                    jyutping_distance=float(fields[2]),
+                    glyph_distances=glyph_distances,
+                    cosine=float(fields[3]),
                 )
             except (ValueError, IndexError) as exc:
                 raise MalformedLine(line_no, "bad pair record", path) from exc
+            numbers = (pair.jyutping_distance, pair.cosine, *(d for _, d in glyph_distances))
+            if not all(map(math.isfinite, numbers)):
+                raise MalformedLine(line_no, f"non-finite number in {line!r}", path)
+            pairs.append(pair)
     return pairs
 
 

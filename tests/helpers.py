@@ -144,6 +144,43 @@ def write_random_arpa(path, rng, n_tokens=10):
     return str(path), tokens
 
 
+def write_random_backoff_arpa(path, rng, tokens, order):
+    """A random order-N model over tokens that covers every back-off case.
+
+    Back-off weights are positive, negative or absent; <unk> is a unigram,
+    absent, or present only in higher orders; two tokens (when there are
+    more than three) are not unigrams but end higher-order n-grams and
+    end one context of each order.
+    """
+    unk_mode = rng.choice(("unigram", "absent", "higher"))
+    known = rng.sample(tokens, len(tokens) - 2 if len(tokens) > 3 else len(tokens))
+    unknown = [t for t in tokens if t not in known] + (["<unk>"] if unk_mode == "higher" else [])
+
+    def backoff():
+        return rng.choice((None, round(rng.uniform(-0.8, -0.05), 4), round(rng.uniform(0.05, 0.6), 4)))
+
+    unigram_words = known + ["<s>"] + (["<unk>"] if unk_mode == "unigram" else [])
+    sections = [{(w,): (round(rng.uniform(-3.0, -0.2), 4), backoff()) for w in unigram_words}]
+    for n in range(2, order + 1):
+        grams = {}
+        contexts = rng.sample(sorted(sections[-1]), min(len(sections[-1]), 6))
+        if unknown:  # a context ending in a token that is not a unigram
+            contexts.append(contexts[0][:-1] + (rng.choice(unknown),))
+        for ctx in contexts:
+            for w in rng.sample(known + unknown, min(len(known + unknown), 3)):
+                grams[ctx + (w,)] = (round(rng.uniform(-2.0, -0.05), 4), backoff() if n < order else None)
+        sections.append(grams)
+    lines = ["\\data\\"] + [f"ngram {n}={len(grams)}" for n, grams in enumerate(sections, start=1)]
+    for n, grams in enumerate(sections, start=1):
+        lines += ["", f"\\{n}-grams:"]
+        for gram, (logp, bo) in grams.items():
+            lines.append(f"{logp}\t{' '.join(gram)}" + ("" if bo is None else f"\t{bo}"))
+    lines += ["", "\\end\\", ""]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+    return str(path)
+
+
 # --- unified-writing fixture: glyph codes and embeddings for the
 #     variant rows plus the explicit 左/阻 reject case ---
 

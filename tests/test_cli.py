@@ -378,6 +378,19 @@ def test_compare_non_utf8_config_exit_2(compare_world, tmp_path, capsys):
     assert f"{bad}:2: not UTF-8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section, literal", [("decoder", '{"alpha": NaN}'), ("uw", '{"cosine_min": Infinity}')])
+def test_compare_non_finite_config_number_exit_2(compare_world, tmp_path, capsys, section, literal):
+    # json accepts NaN/Infinity, and nan < 0.0 is False, so range checks alone let them through
+    text = open(compare_world["config"], encoding="utf-8").read()
+    config = tmp_path / "non_finite.json"
+    config.write_text(text[:-1] + f', "{section}": {literal}}}', encoding="utf-8")
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert "must be finite" in err
+
+
 def test_compare_empty_manifest_exit_2(compare_world, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from homodecode.errors import EmptyEmissions, InvalidProbability
 from homodecode.lexicon import build_homophone_index, load_lexicon
 from homodecode.ngram_lm import load_arpa, score_increment
 
-from helpers import write_arpa, write_lexicon
+from helpers import write_arpa, write_lexicon, write_random_backoff_arpa
 from oracles import (
     best_ctc_transcript,
     enumerate_ctc_posteriors,
@@ -471,17 +472,28 @@ def _quantised_rows(rng, frames, width):
     return rows
 
 
-def _random_he_world(rng, path):
+def _random_he_world(rng, path, backoff_lm=False):
     """Polyphonic lexicon, a vocabulary missing some homophones, and an
-    order-3 LM that leaves some vocabulary tokens out of vocabulary."""
+    order-3 LM that leaves some vocabulary tokens out of vocabulary.
+
+    With backoff_lm the LM is instead an order-1 to 4 model from
+    write_random_backoff_arpa, and half the lexicons put every character
+    under one or two codes, so most siblings collide with organic
+    extensions and with siblings injected from other sources.
+    """
     pool = "左阻俎柤詛座世細勢婿貰些王黃皇簧"
     codes = ("zo2", "zo6", "sai3", "sai2", "wong4")
+    if backoff_lm and rng.random() < 0.5:
+        codes = codes[:2]
     entries = [(char, code) for char in pool for code in rng.sample(codes, rng.randint(1, 2))]
     index = build_homophone_index(load_lexicon(write_lexicon(path / "lex.tsv", entries)))
     chars = rng.sample(pool, rng.randint(4, 9)) + ["面"]
     blank = rng.randrange(len(chars) + 1)
     tokens = chars[:blank] + ["<b>"] + chars[blank:]
     vocab = Vocabulary(tuple(tokens), blank)
+    if backoff_lm:
+        lm = load_arpa(write_random_backoff_arpa(path / "lm.arpa", rng, chars, rng.randint(1, 4)))
+        return vocab, index, lm
     known = rng.sample(chars, len(chars) - 2)
     unigrams = {t: (round(rng.uniform(-3.0, -0.2), 4), round(rng.uniform(-0.8, -0.05), 4))
                 for t in known + ["<unk>", "<s>"]}
@@ -499,16 +511,23 @@ def _random_he_world(rng, path):
 
 
 def test_beam_step_bit_identical_to_reference(tmp_path):
-    rng = random.Random(2302)
+    _check_against_reference(tmp_path, random.Random(2302), backoff_lm=False)
+
+
+def test_beam_step_bit_identical_to_reference_with_backoff_lms(tmp_path):
+    _check_against_reference(tmp_path, random.Random(2303), backoff_lm=True)
+
+
+def _check_against_reference(tmp_path, rng, backoff_lm):
     for world in range(6):
         path = tmp_path / f"w{world}"
         path.mkdir()
-        vocab, index, lm = _random_he_world(rng, path)
+        vocab, index, lm = _random_he_world(rng, path, backoff_lm)
         width = vocab.size
         for _ in range(25):
             matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(1, 5), width))
             config = DecoderConfig(
-                beam_size=rng.randint(1, 4),
+                beam_size=rng.randint(1, 8 if backoff_lm else 4),
                 alpha=rng.choice((0.0, rng.uniform(0.0, 1.0))),
                 beta=rng.uniform(-0.5, 2.0),
                 gamma=rng.random(),
@@ -526,6 +545,61 @@ def test_beam_step_bit_identical_to_reference(tmp_path):
             assert [(r.step, r.source, r.injected, r.prob) for r in got.he_injections] == [
                 (r.step, r.source, r.injected, r.prob) for r in want.he_injections
             ]
+
+
+def test_he_step_builds_objects_only_for_survivors(tmp_path, monkeypatch):
+    # V = 2,001 with homophone groups of 10: thousands of siblings per
+    # frame, continuous emissions so no two scores tie at the cut
+    from homodecode import decoder
+    from homodecode.ngram_lm import NGramModel
+
+    rng = random.Random(5)
+    chars = [chr(0x4E00 + i) for i in range(2000)]
+    lexicon = [(c, chr(97 + i // 260) + chr(97 + i // 10 % 26) + "1") for i, c in enumerate(chars)]
+    index = build_homophone_index(load_lexicon(write_lexicon(tmp_path / "lex.tsv", lexicon)))
+    vocab = Vocabulary(tuple(["<b>"] + chars), 0)
+    lm = load_arpa(write_arpa(
+        tmp_path / "lm.arpa",
+        {c: (round(rng.uniform(-4.0, -2.0), 4), round(rng.uniform(-0.5, -0.1), 4)) for c in chars + ["<unk>", "<s>"]},
+        {(rng.choice(chars), rng.choice(chars)): round(rng.uniform(-2.0, -0.5), 4) for _ in range(4000)},
+    ))
+    matrix = matrix_from_linear(random_linear_rows(rng, 4, vocab.size))
+    config = DecoderConfig(beam_size=8, char_topk=32)
+
+    built = []  # BeamHypothesis constructions per extend_homophones call
+    inside = [False]
+    real_extend = decoder.extend_homophones
+
+    class CountedHypothesis(BeamHypothesis):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if inside[0]:
+                built[-1] += 1
+
+    def counted_extend(*args, **kwargs):
+        built.append(0)
+        inside[0] = True
+        try:
+            return real_extend(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    lm_calls = []
+    real_conditional = NGramModel.conditional_logprob
+    monkeypatch.setattr(decoder, "BeamHypothesis", CountedHypothesis)
+    monkeypatch.setattr(decoder, "extend_homophones", counted_extend)
+    monkeypatch.setattr(NGramModel, "conditional_logprob",
+                        lambda self, *args: lm_calls.append(args) or real_conditional(self, *args))
+
+    result = decode(matrix, vocab, index, lm, replace(config, rescore_enabled=False))
+    assert len(built) == matrix.frames
+    assert len(result.he_injections) > 100 * config.beam_size * matrix.frames
+    assert all(count <= 2 * config.beam_size for count in built), built
+    assert lm_calls == []
+
+    rescored = decode(matrix, vocab, index, lm, config)
+    # rescoring queries once per token of each n-best transcript, and nothing else does
+    assert len(lm_calls) == sum(len(entry.transcript) for entry in rescored.nbest)
 
 
 def test_frame_candidates_match_full_sort_on_ties_and_non_finite():

@@ -5,7 +5,7 @@ import pytest
 from homodecode.errors import CountMismatch, MalformedLine, MissingSection
 from homodecode.ngram_lm import UNK_FALLBACK_LOG10, load_arpa, score_increment, score_sequence
 
-from helpers import write_arpa, write_random_arpa, write_toy_arpa
+from helpers import write_arpa, write_random_arpa, write_random_backoff_arpa, write_toy_arpa
 from oracles import arpa_score_sequence
 
 
@@ -136,6 +136,34 @@ def test_incremental_consistency(tmp_path):
         inc = score_increment(model, seq, nxt)
         full = score_sequence(model, seq + [nxt]) - score_sequence(model, seq)
         assert inc == pytest.approx(full, abs=1e-9)
+
+
+def test_logprob_row_equals_conditional_logprob(tmp_path):
+    rng = random.Random(4242)
+    tokens = [f"w{i}" for i in range(7)]
+    unk_modes = set()
+    for trial in range(40):
+        order = trial % 4 + 1
+        model = load_arpa(write_random_backoff_arpa(tmp_path / f"m{trial}.arpa", rng, tokens, order))
+        unigrams = [gram[0] for gram in model.probs if len(gram) == 1]
+        unk_unigram = (model.unk,) in model.probs
+        unk_higher = any(gram[-1] == model.unk for gram in model.probs if len(gram) > 1)
+        unk_modes.add("unigram" if unk_unigram else "higher" if unk_higher else "absent")
+        ids = {t: model.row_index(t) for t in unigrams + [model.unk]}
+        assert sorted(ids.values()) == list(range(len(unigrams) + (0 if unk_unigram else 1)))
+        assert model.row_index("never-seen") == ids[model.unk]
+        stored = [gram[:-1] for gram in model.probs if len(gram) > 1]
+        words = tokens + ["<s>", model.unk]
+        for _ in range(25):
+            if stored and rng.random() < 0.6:
+                context = rng.choice(stored)  # hits stored successors and back-off weights
+            else:
+                context = tuple(rng.choice(words) for _ in range(rng.randint(0, order - 1)))
+            row = model.logprob_row(context)
+            assert row.shape == (len(ids),)
+            for token, position in ids.items():
+                assert row[position] == model.conditional_logprob(context, token), (context, token)
+    assert unk_modes == {"unigram", "higher", "absent"}
 
 
 def test_probabilities_nonpositive(toy_model):

@@ -268,6 +268,17 @@ def test_pairs_file_round_trip(uw_fixture, tmp_path):
     assert load_pairs(str(path)) == pairs
 
 
+@pytest.mark.parametrize("record", ["裡\t裏\tnan\t0.9\tm=0.25", "裡\t裏\t0.0\tinf\tm=0.25",
+                                    "裡\t裏\t0.0\t0.9\tm=0.25;n=nan"])
+def test_load_pairs_non_finite_rejected(tmp_path, record):
+    path = tmp_path / "pairs.tsv"
+    path.write_text(f"帳\t賬\t0.0\t0.9\tm=0.25\n{record}\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_pairs(str(path))
+    assert exc.value.line_no == 2
+    assert exc.value.path == str(path)
+
+
 # --- rewriting checker ---
 
 
