@@ -2,7 +2,9 @@
 
 Every command is reproducible: the same inputs and flags produce
 byte-identical outputs.  Malformed input files exit with status 2 and a
-message naming the file (and line where known); internal errors exit 1.
+message naming the file (and line where known), flag values that the
+decoder or UW settings reject with status 2 and a message naming the
+flag; internal errors exit 1.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .evaluation import (
     run_comparison,
     save_report_jsonl,
     save_report_tsv,
+    write_jsonl,
 )
 from .lexicon import build_homophone_index, load_cin_table, load_lexicon
 from .ngram_lm import load_arpa
@@ -65,33 +68,23 @@ class ToolConfig:
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
         try:
+            # a key that is no field (a misspelt "lexcon") is a TypeError naming it
             config = cls(
-                vocab=obj["vocab"],
-                lexicon=obj.get("lexicon"),
-                lm=obj.get("lm"),
-                embeddings=obj.get("embeddings"),
-                frequency=obj.get("frequency"),
-                pairs=obj.get("pairs"),
-                cin_dir=obj.get("cin_dir"),
-                output_dir=obj.get("output_dir", "."),
-                decoder=DecoderConfig(**obj.get("decoder", {})),
-                uw=UWConfig(**obj.get("uw", {})),
-                variants=tuple(obj.get("variants", VARIANTS)),
-                uw_on_references=bool(obj.get("uw_on_references", False)),
+                **{
+                    **obj,
+                    "decoder": DecoderConfig(**obj.get("decoder", {})),
+                    "uw": UWConfig(**obj.get("uw", {})),
+                    "variants": tuple(obj.get("variants", VARIANTS)),
+                    "uw_on_references": bool(obj.get("uw_on_references", False)),
+                }
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
         for name in ("vocab", "lexicon", "lm", "embeddings", "frequency", "pairs", "cin_dir"):
             value = getattr(config, name)
             if value is not None and not os.path.exists(value):
                 raise FormatError(f"{path}: {name} path {value!r} does not exist")
         return config
-
-
-def _write_jsonl(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
 
 
 def cmd_decode(args) -> int:
@@ -111,27 +104,11 @@ def cmd_decode(args) -> int:
     )
     result = decode(emissions, vocab, index, lm, config)
     print(result.best)
+    # each record's fields are its JSON keys
     if args.nbest_out:
-        _write_jsonl(
-            args.nbest_out,
-            (
-                {
-                    "transcript": e.transcript,
-                    "fused_score": e.fused_score,
-                    "acoustic_score": e.acoustic_score,
-                    "lm_score": e.lm_score,
-                }
-                for e in result.nbest
-            ),
-        )
+        write_jsonl(args.nbest_out, map(vars, result.nbest))
     if args.audit:
-        _write_jsonl(
-            args.audit,
-            (
-                {"step": r.step, "source": r.source, "injected": r.injected, "prob": r.prob}
-                for r in result.he_injections
-            ),
-        )
+        write_jsonl(args.audit, map(vars, result.he_injections))
     return 0
 
 
@@ -150,7 +127,6 @@ def cmd_uw_discover(args) -> int:
         jyutping_max_distance=args.jyutping_max,
         glyph_max_distance=args.glyph_max,
         cosine_min=args.cosine_min,
-        checker_min=args.checker_min,
         min_methods=args.min_methods,
     )
     pairs = discover_pairs(lexicon, glyphs, emb, config)
@@ -171,19 +147,7 @@ def cmd_uw_apply(args) -> int:
         for sentence in rewritten:
             fh.write(sentence + "\n")
     if args.audit:
-        _write_jsonl(
-            args.audit,
-            (
-                {
-                    "sentence_index": r.sentence_index,
-                    "variant": r.variant,
-                    "canonical": r.canonical,
-                    "score": r.score,
-                    "kept": r.kept,
-                }
-                for r in audit
-            ),
-        )
+        write_jsonl(args.audit, map(vars, audit))
     return 0
 
 
@@ -233,6 +197,23 @@ def cmd_compare(args) -> int:
     return 0
 
 
+def _config_flag(cls, name: str, convert) -> dict:
+    """add_argument keywords for the flag that sets field `name` of cls:
+    the field's default, and a type that lets cls judge the value, so a
+    value cls rejects exits 2 naming the flag."""
+
+    def parse(text: str):
+        value = convert(text)
+        try:
+            cls(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid float value" message reads it
+    return {"type": parse, "default": getattr(cls, name)}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="homodecode",
@@ -249,14 +230,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True, help="vocabulary file")
     p.add_argument("--lexicon", required=True, help="Jyutping lexicon TSV")
     p.add_argument("--lm", required=True, help="ARPA language model")
-    p.add_argument("--alpha", type=float, default=0.45, help="LM shallow fusion weight")
-    p.add_argument("--beta", type=float, default=1.55, help="length bonus weight")
-    p.add_argument("--beam", type=int, default=20, help="beam size")
-    p.add_argument("--gamma", type=float, default=0.5, help="homophone extension mixing weight")
-    p.add_argument("--he", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--alpha", **_config_flag(DecoderConfig, "alpha", float), help="LM shallow fusion weight")
+    p.add_argument("--beta", **_config_flag(DecoderConfig, "beta", float), help="length bonus weight")
+    p.add_argument("--beam", **_config_flag(DecoderConfig, "beam_size", int), help="beam size")
+    p.add_argument("--gamma", **_config_flag(DecoderConfig, "gamma", float),
+                   help="homophone extension mixing weight")
+    p.add_argument("--he", action=argparse.BooleanOptionalAction, default=DecoderConfig.he_enabled,
                    help="homophone extension")
-    p.add_argument("--nbest", type=int, default=10, help="n-best list size")
-    p.add_argument("--rescore", action=argparse.BooleanOptionalAction, default=True,
+    p.add_argument("--nbest", **_config_flag(DecoderConfig, "nbest", int), help="n-best list size")
+    p.add_argument("--rescore", action=argparse.BooleanOptionalAction, default=DecoderConfig.rescore_enabled,
                    help="final n-best LM rescoring")
     p.add_argument("--nbest-out", help="write the n-best list as JSON-lines")
     p.add_argument("--audit", help="write homophone injection audit as JSON-lines")
@@ -274,13 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cin-dir", required=True, help="directory of .cin glyph tables")
     p.add_argument("--embeddings", required=True, help="character embedding table")
     p.add_argument("--out", required=True, help="output pairs TSV")
-    p.add_argument("--jyutping-max", type=float, default=0.0,
+    p.add_argument("--jyutping-max", **_config_flag(UWConfig, "jyutping_max_distance", float),
                    help="max normalized Jyutping edit distance")
-    p.add_argument("--glyph-max", type=float, default=0.25,
+    p.add_argument("--glyph-max", **_config_flag(UWConfig, "glyph_max_distance", float),
                    help="max normalized glyph-code edit distance")
-    p.add_argument("--cosine-min", type=float, default=0.5, help="min embedding cosine")
-    p.add_argument("--checker-min", type=float, default=0.9, help="min checker score")
-    p.add_argument("--min-methods", type=int, default=None,
+    p.add_argument("--cosine-min", **_config_flag(UWConfig, "cosine_min", float), help="min embedding cosine")
+    p.add_argument("--min-methods", **_config_flag(UWConfig, "min_methods", int),
                    help="glyph methods that must pass (default: all shared)")
     p.set_defaults(func=cmd_uw_discover)
 
@@ -294,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True, help="character embedding table")
     p.add_argument("--out", required=True, help="rewritten corpus output")
     p.add_argument("--freq", help="frequency TSV (default: counted from the corpus)")
-    p.add_argument("--checker-min", type=float, default=0.9, help="min checker score")
+    p.add_argument("--checker-min", **_config_flag(UWConfig, "checker_min", float), help="min checker score")
     p.add_argument("--audit", help="write rewrite audit as JSON-lines")
     p.set_defaults(func=cmd_uw_apply)
 

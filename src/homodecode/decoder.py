@@ -238,8 +238,9 @@ def ctc_step(
     Blank extends p_blank of the same prefix; a repeated character
     merges into p_nonblank of the same prefix; any character extends the
     prefix with an incremental LM score.  With prune=False the full
-    expanded set is returned so homophone injection can compete in the
-    same step's prune.
+    expanded set is returned unscored (fused_score 0.0) so homophone
+    injection can compete in the same step's prune; extend_homophones
+    scores it.
     """
     lp = np.asarray(frame)
     blank = vocab.blank_index
@@ -295,10 +296,7 @@ def ctc_step(
             rec.ext_mass = _logaddexp(rec.ext_mass, mass)
 
     out = list(next_recs.values())
-    if prune:
-        return _prune(out, vocab, config)
-    _score(out, config)
-    return out
+    return _prune(out, vocab, config) if prune else out
 
 
 def _injection_table(
@@ -506,9 +504,11 @@ def decode(
 
     With rescore_enabled the final top-nbest transcripts are re-scored
     from scratch (acoustic logsumexp + alpha * ln10 * full LM score +
-    beta * length) and re-sorted; with shallow fusion active this
-    reproduces the search-time fused score exactly, and with alpha
-    fusion disabled it acts as a classic second-pass LM reranker.
+    beta * length) and re-sorted.  The rescored LM term carries the same
+    alpha as shallow fusion, and the full LM score is the sum that search
+    accumulated one increment at a time, so rescoring reproduces the
+    search-time fused scores and their order (up to float rounding of
+    that sum); it is not a second-pass reranker.
     """
     if emissions.frames == 0:
         raise EmptyEmissions()

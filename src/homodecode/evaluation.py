@@ -22,6 +22,7 @@ from .unified_writing import (
     UnifiedPair,
     UWConfig,
     apply_unified_writing,
+    character_edit_distance,
 )
 
 VARIANTS = ("baseline", "lm", "lm_he", "lm_uw", "lm_he_uw")
@@ -54,21 +55,6 @@ class EvalReport:
     @property
     def aggregate_cer(self) -> float:
         return self.total_edits / self.total_ref_len if self.total_ref_len else 0.0
-
-
-def character_edit_distance(ref: str, hyp: str) -> int:
-    """Levenshtein distance over Unicode scalars with unit edit costs."""
-    if ref == hyp:
-        return 0
-    if len(ref) < len(hyp):
-        ref, hyp = hyp, ref
-    prev = list(range(len(hyp) + 1))
-    for i, ca in enumerate(ref, start=1):
-        row = [i]
-        for j, cb in enumerate(hyp, start=1):
-            row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = row
-    return prev[-1]
 
 
 def evaluate(pairs: list[tuple[str, str, str]]) -> EvalReport:
@@ -233,21 +219,20 @@ def save_report_tsv(report: EvalReport, path: str) -> None:
         fh.write(f"#aggregate\t{report.total_edits}\t{report.total_ref_len}\t{report.aggregate_cer:.6f}\t\t\n")
 
 
-def save_report_jsonl(report: EvalReport, path: str) -> None:
+def write_jsonl(path: str, rows) -> None:
+    """Write each row (a dict) as one line of key-sorted JSON, non-ASCII
+    kept as UTF-8: the format of every JSON-lines file the toolkit writes."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in report.per_utterance:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": u.utt_id,
-                        "reference": u.reference,
-                        "hypothesis": u.hypothesis,
-                        "edits": u.edits,
-                        "ref_len": u.ref_len,
-                        "cer": u.cer,
-                    },
-                    ensure_ascii=False,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
+
+
+def save_report_jsonl(report: EvalReport, path: str) -> None:
+    write_jsonl(
+        path,
+        (
+            {"id": u.utt_id, "reference": u.reference, "hypothesis": u.hypothesis,
+             "edits": u.edits, "ref_len": u.ref_len, "cer": u.cer}
+            for u in report.per_utterance
+        ),
+    )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import InvalidTone, MalformedLine, MissingChardefBlock, open_text
 
@@ -126,14 +128,13 @@ def build_homophone_index(lex: Lexicon) -> HomophoneIndex:
 
     Pure function: the same lexicon always yields an identical index.
     """
-    groups: dict[str, set[str]] = {}
-    char_codes: dict[str, set[str]] = {}
-    for char, code in lex.entries:
-        groups.setdefault(code.text, set()).add(char)
-        char_codes.setdefault(char, set()).add(code.text)
-    by_code = {code: tuple(sorted(chars)) for code, chars in sorted(groups.items())}
-    pron_count = {char: len(codes) for char, codes in sorted(char_codes.items())}
-    codes_by_char = {char: tuple(sorted(codes)) for char, codes in sorted(char_codes.items())}
+    # one sorted list of distinct (character, code) pairs, grouped twice: no
+    # container per character, which keeps the build's peak memory low
+    pairs = sorted({(char, code.text) for char, code in lex.entries})
+    codes_by_char = {char: tuple(c for _, c in group) for char, group in groupby(pairs, key=itemgetter(0))}
+    pairs.sort(key=itemgetter(1))  # stable: each code's characters stay sorted
+    by_code = {code: tuple(ch for ch, _ in group) for code, group in groupby(pairs, key=itemgetter(1))}
+    pron_count = {char: len(codes) for char, codes in codes_by_char.items()}
     return HomophoneIndex(by_code=by_code, pron_count=pron_count, codes_by_char=codes_by_char)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .errors import (
     ZeroVector,
     open_text,
 )
-from .lexicon import GlyphCodeTable, Lexicon
+from .lexicon import GlyphCodeTable, Lexicon, build_homophone_index
 
 
 @dataclass(frozen=True)
@@ -92,15 +93,20 @@ class RewriteRecord:
     kept: bool
 
 
-def _levenshtein(a: str, b: str) -> int:
-    if a == b:
+def character_edit_distance(ref: str, hyp: str) -> int:
+    """Levenshtein distance over Unicode scalars with unit edit costs.
+
+    The one edit distance of the toolkit: CER counts it over transcripts,
+    and normalized_edit_distance divides it for the discovery gates.
+    """
+    if ref == hyp:
         return 0
-    if len(a) < len(b):
-        a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
+    if len(ref) < len(hyp):
+        ref, hyp = hyp, ref
+    prev = list(range(len(hyp) + 1))
+    for i, ca in enumerate(ref, start=1):
         row = [i]
-        for j, cb in enumerate(b, start=1):
+        for j, cb in enumerate(hyp, start=1):
             row.append(min(prev[j] + 1, row[j - 1] + 1, prev[j - 1] + (ca != cb)))
         prev = row
     return prev[-1]
@@ -110,7 +116,7 @@ def normalized_edit_distance(a: str, b: str) -> float:
     """Levenshtein distance divided by the longer string's length."""
     if not a or not b:
         raise EmptyString()
-    return _levenshtein(a, b) / max(len(a), len(b))
+    return character_edit_distance(a, b) / max(len(a), len(b))
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -180,30 +186,16 @@ def count_frequencies(corpus: list[str]) -> FrequencyTable:
     return FrequencyTable(counts)
 
 
-def _char_codes(lex: Lexicon) -> dict[str, tuple[str, ...]]:
-    collected: dict[str, list[str]] = {}
-    for char, code in lex.entries:
-        collected.setdefault(char, []).append(code.text)
-    return {c: tuple(v) for c, v in collected.items()}
-
-
 def _evaluate_pair(
     x: str,
     y: str,
-    codes: dict[str, tuple[str, ...]],
+    jyutping_distance: float,
     glyphs: list[GlyphCodeTable],
     emb: EmbeddingTable,
     config: UWConfig,
 ) -> UnifiedPair | None:
-    """Run one unordered character pair through all three filters."""
-    jd = min(
-        normalized_edit_distance(cx, cy)
-        for cx in codes[x]
-        for cy in codes[y]
-    )
-    if jd > config.jyutping_max_distance:
-        return None
-
+    """Run one unordered character pair that passed the pronunciation
+    gate through the glyph-code and embedding filters."""
     glyph_distances: list[tuple[str, float]] = []
     passed = 0
     for table in glyphs:
@@ -233,7 +225,7 @@ def _evaluate_pair(
     return UnifiedPair(
         variant=variant,
         canonical=canonical,
-        jyutping_distance=jd,
+        jyutping_distance=jyutping_distance,
         glyph_distances=tuple(glyph_distances),
         cosine=cos,
     )
@@ -248,30 +240,17 @@ def discover_pairs(
     """Find all variant pairs surviving the three similarity filters.
 
     At the default pronunciation threshold of 0 only characters sharing
-    a code can pass, so candidates are bucketed by Jyutping code instead
-    of walking the full L*(L-1) combination space; a positive threshold
-    falls back to the exhaustive walk.
+    a code can pass, so the candidates are the pairs within each group of
+    the homophone index, at Jyutping distance 0, instead of the full
+    L*(L-1) combination space; a positive threshold falls back to the
+    exhaustive walk.
     """
-    codes = _char_codes(lex)
-    if config.jyutping_max_distance == 0.0:
-        buckets: dict[str, set[str]] = {}
-        for char, code in lex.entries:
-            buckets.setdefault(code.text, set()).add(char)
-        candidates: set[tuple[str, str]] = set()
-        for chars in buckets.values():
-            ordered = sorted(chars)
-            for i, x in enumerate(ordered):
-                for y in ordered[i + 1 :]:
-                    candidates.add((x, y))
-        pairs = [
-            _evaluate_pair(x, y, codes, glyphs, emb, config)
-            for x, y in sorted(candidates)
-        ]
-        return sorted(
-            (p for p in pairs if p is not None),
-            key=lambda p: (p.variant, p.canonical),
-        )
-    return discover_pairs_naive(lex, glyphs, emb, config)
+    if config.jyutping_max_distance != 0.0:
+        return discover_pairs_naive(lex, glyphs, emb, config)
+    index = build_homophone_index(lex)
+    candidates = {pair for chars in index.by_code.values() for pair in combinations(chars, 2)}
+    pairs = [_evaluate_pair(x, y, 0.0, glyphs, emb, config) for x, y in sorted(candidates)]
+    return sorted((p for p in pairs if p is not None), key=lambda p: (p.variant, p.canonical))
 
 
 def discover_pairs_naive(
@@ -281,12 +260,15 @@ def discover_pairs_naive(
     config: UWConfig,
 ) -> list[UnifiedPair]:
     """Exhaustive double loop over all character combinations."""
-    codes = _char_codes(lex)
+    codes = build_homophone_index(lex).codes_by_char
     chars = sorted(codes)
     pairs: list[UnifiedPair] = []
     for i, x in enumerate(chars):
         for y in chars[i + 1 :]:
-            pair = _evaluate_pair(x, y, codes, glyphs, emb, config)
+            jd = min(normalized_edit_distance(cx, cy) for cx in codes[x] for cy in codes[y])
+            if jd > config.jyutping_max_distance:
+                continue
+            pair = _evaluate_pair(x, y, jd, glyphs, emb, config)
             if pair is not None:
                 pairs.append(pair)
     return sorted(pairs, key=lambda p: (p.variant, p.canonical))

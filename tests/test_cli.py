@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from homodecode.cli import main
+from homodecode.cli import build_parser, main
+from homodecode.decoder import DecoderConfig
 from homodecode.emissions import EmissionMatrix, save_emissions
+from homodecode.unified_writing import UWConfig
 
 from helpers import (
     GLYPH_FIXTURE,
@@ -110,6 +112,27 @@ def test_decode_malformed_input_exit_2(decode_world, tmp_path, capsys):
     assert "bad.emat" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--beam", "0", "beam_size must be >= 1"),
+    ("--alpha", "nan", "alpha must be finite"),
+])
+def test_decode_bad_setting_flag_exit_2(decode_world, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as exc:
+        run_decode(decode_world, flag, value)
+    assert exc.value.code == 2
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
+def test_decode_defaults_are_decoder_config_defaults():
+    args = build_parser().parse_args(["decode", "--emissions", "e", "--vocab", "v", "--lexicon", "x", "--lm", "m"])
+    parsed = {
+        "beam_size": args.beam, "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
+        "he_enabled": args.he, "nbest": args.nbest, "rescore_enabled": args.rescore,
+    }
+    defaults = DecoderConfig()
+    assert parsed == {name: getattr(defaults, name) for name in parsed}
+
+
 @pytest.fixture
 def uw_world(tmp_path):
     lexicon = write_lexicon(tmp_path / "lex.tsv", table1_entries())
@@ -153,6 +176,35 @@ def test_uw_discover_unreachable_cosine(uw_world, capsys):
     )
     assert code == 0
     assert capsys.readouterr().out == "0\n"
+
+
+def test_uw_discover_bad_setting_flag_exit_2(uw_world, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "uw", "discover",
+                "--lexicon", uw_world["lexicon"],
+                "--cin-dir", uw_world["cin_dir"],
+                "--embeddings", uw_world["embeddings"],
+                "--out", str(uw_world["dir"] / "pairs.tsv"),
+                "--cosine-min", "-1",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "argument --cosine-min: cosine_min must be >= 0" in capsys.readouterr().err
+
+
+def test_uw_discover_defaults_are_uw_config_defaults():
+    args = build_parser().parse_args(["uw", "discover", "--lexicon", "x", "--cin-dir", "c", "--embeddings", "e",
+                                      "--out", "o"])
+    parsed = {
+        "jyutping_max_distance": args.jyutping_max, "glyph_max_distance": args.glyph_max,
+        "cosine_min": args.cosine_min, "min_methods": args.min_methods,
+    }
+    defaults = UWConfig()
+    assert parsed == {name: getattr(defaults, name) for name in parsed}
+    # discovery never reads the checker threshold, so it has no flag
+    assert not hasattr(args, "checker_min")
 
 
 def test_uw_discover_non_utf8_lexicon_exit_2(uw_world, tmp_path, capsys):
@@ -253,6 +305,22 @@ def test_uw_apply_checker_min_one_blocks_rewrites(applied_world):
     )
     assert code == 0
     assert out.read_text(encoding="utf-8") == "裏面\n裏面\n裏面\n裡面\n"
+
+
+def test_uw_apply_bad_setting_flag_exit_2(applied_world, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(
+            [
+                "uw", "apply",
+                "--pairs", applied_world["pairs"],
+                "--corpus", applied_world["corpus"],
+                "--embeddings", applied_world["embeddings"],
+                "--out", str(applied_world["dir"] / "out.txt"),
+                "--checker-min", "nan",
+            ]
+        )
+    assert exc.value.code == 2
+    assert "argument --checker-min: checker_min must be finite" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -389,6 +457,19 @@ def test_compare_non_finite_config_number_exit_2(compare_world, tmp_path, capsys
     err = capsys.readouterr().err
     assert str(config) in err
     assert "must be finite" in err
+
+
+def test_compare_unknown_config_key_exit_2(compare_world, tmp_path, capsys):
+    # a misspelt "lexicon" would otherwise run lm_he without homophones
+    obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
+    obj["lexcon"] = obj.pop("lexicon")
+    config = tmp_path / "misspelt.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(config) in err
+    assert "'lexcon'" in err
 
 
 def test_compare_empty_manifest_exit_2(compare_world, tmp_path, capsys):

@@ -1,9 +1,11 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from homodecode import unified_writing
 from homodecode.errors import (
     DimMismatch,
     EmptySentence,
@@ -247,6 +249,36 @@ def test_bucketed_equals_naive(tmp_path):
         assert discover_pairs(lex, tables, emb, config) == discover_pairs_naive(
             lex, tables, emb, config
         )
+
+
+def test_jyutping_threshold_filters_on_closest_codes(tmp_path):
+    # with the other gates open, each threshold keeps exactly the pairs of
+    # the widest run whose closest pronunciations are that near
+    lex, tables, emb = _random_uw_world(random.Random(405), 40, tmp_path, "j")
+    config = UWConfig(jyutping_max_distance=1.0, glyph_max_distance=1.0, cosine_min=0.0)
+    widest = discover_pairs(lex, tables, emb, config)
+    assert any(p.jyutping_distance == 0.0 for p in widest)
+    assert any(0.0 < p.jyutping_distance <= 0.5 for p in widest)
+    assert any(p.jyutping_distance > 0.5 for p in widest)
+    for limit in (0.0, 0.5):
+        narrowed = discover_pairs(lex, tables, emb, replace(config, jyutping_max_distance=limit))
+        assert narrowed == [p for p in widest if p.jyutping_distance <= limit]
+
+
+def test_bucketed_discovery_measures_only_glyph_codes(uw_fixture, monkeypatch):
+    # homophone-index candidates share a code, so their Jyutping distance is 0
+    lex, tables, emb = uw_fixture
+    glyph_codes = {code for table in tables for codes in table.codes.values() for code in codes}
+    measured = []
+
+    def recording(a, b):
+        measured.append((a, b))
+        return normalized_edit_distance(a, b)
+
+    monkeypatch.setattr(unified_writing, "normalized_edit_distance", recording)
+    assert len(discover_pairs(lex, tables, emb, UWConfig())) == 3
+    assert measured
+    assert all(a in glyph_codes and b in glyph_codes for a, b in measured)
 
 
 def test_discovery_order_invariant(uw_fixture, tmp_path):
