@@ -1,6 +1,7 @@
 """Homophone-extension CTC decoding and unified-writing normalization."""
 
 from .decoder import (
+    BeamExpansion,
     BeamHypothesis,
     DecodeResult,
     DecoderConfig,

@@ -101,6 +101,7 @@ def cmd_decode(args) -> int:
         he_enabled=args.he,
         nbest=args.nbest,
         rescore_enabled=args.rescore,
+        char_topk=args.char_topk,
     )
     result = decode(emissions, vocab, index, lm, config)
     print(result.best)
@@ -172,6 +173,11 @@ def cmd_compare(args) -> int:
         if config.frequency:
             uw_freq = load_frequency_table(config.frequency)
         else:
+            print(
+                "warning: the config names no 'frequency' file, so UW pairs are oriented "
+                "by character counts of the reference transcripts",
+                file=sys.stderr,
+            )
             uw_freq = count_frequencies([entry.reference for entry in manifest])
 
     assets = ComparisonAssets(
@@ -238,6 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--he", action=argparse.BooleanOptionalAction, default=DecoderConfig.he_enabled,
                    help="homophone extension")
     p.add_argument("--nbest", **_config_flag(DecoderConfig, "nbest", int), help="n-best list size")
+    p.add_argument("--char-topk", **_config_flag(DecoderConfig, "char_topk", int),
+                   help="most probable characters searched per frame; 0 searches the whole vocabulary")
     p.add_argument("--rescore", action=argparse.BooleanOptionalAction, default=DecoderConfig.rescore_enabled,
                    help="final n-best LM rescoring")
     p.add_argument("--nbest-out", help="write the n-best list as JSON-lines")
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="max normalized glyph-code edit distance")
     p.add_argument("--cosine-min", **_config_flag(UWConfig, "cosine_min", float), help="min embedding cosine")
     p.add_argument("--min-methods", **_config_flag(UWConfig, "min_methods", int),
-                   help="glyph methods that must pass (default: all shared)")
+                   help="how many glyph methods must pass; every shared one if unset")
     p.set_defaults(func=cmd_uw_discover)
 
     p = uw_sub.add_parser(

@@ -46,9 +46,10 @@ class DecoderConfig:
 
     char_topk preselects that many highest-probability characters per
     frame before extension (0 considers the whole vocabulary); any input
-    with V <= char_topk is searched exactly.  Each hypothesis still
-    extends by a Python loop over the candidates (homophone siblings are
-    scored as arrays), so this bound is what keeps a 32k-character
+    with V <= char_topk is searched exactly.  The beam extends by every
+    candidate in one array pass, so exact search without homophone
+    extension is practical at V = 32k; with it, every candidate becomes
+    an injection source, so this bound is what keeps a 32k-character
     vocabulary fast.
     """
 
@@ -73,17 +74,18 @@ class DecoderConfig:
             raise ValueError("alpha must be >= 0")
         if self.nbest < 1:
             raise ValueError("nbest must be >= 1")
+        if self.char_topk < 0:
+            raise ValueError("char_topk must be >= 0 (0 searches the whole vocabulary)")
 
 
 @dataclass
 class BeamHypothesis:
     """One decoding prefix. Probabilities are natural-log; lm_score log10.
 
-    The ext_* fields are step-scoped bookkeeping: when a frame's
-    character extensions append token ext_index, ext_mass holds the
-    natural-log mass that multiplied its emission and ext_lm_inc the LM
-    increment it received.  Homophone injection reads them to build
-    sibling hypotheses; they are reset by the next step.
+    The ext_* fields are kept only for the frozen reference beam step
+    in the tests, which records a frame's extension on the hypothesis
+    (appended token, the mass that multiplied its emission, its LM
+    increment); the decoder keeps that per-cell state in BeamExpansion.
     """
 
     prefix: tuple[int, ...]
@@ -186,7 +188,8 @@ def _prune(hyps: list[BeamHypothesis], vocab: Vocabulary, config: DecoderConfig)
 
 
 def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
-    """Non-blank candidate indices, most probable first, ties by index.
+    """Non-blank candidate indices, most probable first, ties by index,
+    up to the first -inf entry.
 
     With topk set, only the topk + 1 best entries (room for the blank)
     and any entries tied with the last of them are ordered.
@@ -199,17 +202,9 @@ def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
         order = pool[np.argsort(neg[pool], kind="stable")]
     else:
         order = np.argsort(neg, kind="stable")
-    cands: list[int] = []
-    for idx in order:
-        i = int(idx)
-        if i == blank_index:
-            continue
-        if lp[i] == NEG_INF:
-            break
-        cands.append(i)
-        if topk and len(cands) >= topk:
-            break
-    return cands
+    order = order[order != blank_index]
+    dead = np.flatnonzero(lp[order] == NEG_INF)
+    return order[: dead[0] if dead.shape[0] else None][: topk or None].tolist()
 
 
 def _lm_context(lm: NGramModel, vocab: Vocabulary, prefix: tuple[int, ...]) -> tuple[str, ...]:
@@ -225,6 +220,84 @@ def _lm_context(lm: NGramModel, vocab: Vocabulary, prefix: tuple[int, ...]) -> t
     return tuple(effective[-span:])
 
 
+@dataclass
+class BeamExpansion:
+    """One frame's unpruned beam, as returned by ctc_step(prune=False).
+
+    Cell (i, k) extends parents[i] (rows maps its prefix to i) by token
+    tokens[k] (columns maps a vocabulary id to k, or -1).  Per cell,
+    mass is the natural-log mass of the parent that multiplies the
+    emission (-inf where the cell extends nothing), p_nonblank that mass
+    times the emission, inc the LM increment and lm_score the parent's
+    LM score plus inc; lm_rows[i] is the logprob_row of parents[i]'s
+    context (None without an LM).  fresh marks the cells whose prefix is
+    new this frame.  The beam's own prefixes, kept by blank or repeat,
+    are BeamHypothesis objects in stays; an extension that lands on one
+    is merged into it.  Records are created in row-major cell order,
+    each stay just before its row's first cell (or, with a zero-
+    probability blank, before the cell repeating its last token); when
+    a stay precedes the extension merged into it, the cell's lm_score is
+    the stay's and moved maps the cell's flat index to the stay's
+    position (a cell at flat index f sits at 2 * f + 1, a stay before
+    it at 2 * f).  len() is the number of distinct prefixes.
+    """
+
+    parents: list[BeamHypothesis]
+    rows: dict[tuple[int, ...], int]
+    tokens: np.ndarray
+    columns: np.ndarray
+    lm_rows: list[np.ndarray] | None
+    mass: np.ndarray
+    p_nonblank: np.ndarray
+    inc: np.ndarray
+    lm_score: np.ndarray
+    fresh: np.ndarray
+    stays: dict[tuple[int, ...], BeamHypothesis]
+    moved: dict[int, int]
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.fresh)) + len(self.stays)
+
+    def cell(self, prefix: tuple[int, ...]) -> tuple[int, int] | None:
+        """(row, column) of the extension that reaches prefix, if one does."""
+        row = self.rows.get(prefix[:-1], -1) if prefix else -1
+        col = int(self.columns[prefix[-1]]) if row >= 0 else -1
+        return None if col < 0 or self.mass[row, col] == NEG_INF else (row, col)
+
+    def fresh_cells(self) -> tuple[np.ndarray, ...]:
+        """Row, token, non-blank mass and LM score of every fresh cell, row-major."""
+        flat = np.flatnonzero(self.fresh)
+        row, col = np.divmod(flat, max(self.tokens.shape[0], 1))
+        return row, self.tokens[col], self.p_nonblank.ravel()[flat], self.lm_score.ravel()[flat]
+
+
+def _select(exp: BeamExpansion, cells: tuple[np.ndarray, ...], vocab: Vocabulary, config: DecoderConfig):
+    """The pruned beam over exp's stays and the new single-path prefixes
+    in cells (parent row, appended token, non-blank mass, LM score).
+
+    A cell's fused score is (p_nonblank + w * lm_score) + beta * length,
+    which is _score's sum when p_blank is -inf.  Only cells at or above
+    the beam_size-th best fused score become BeamHypothesis objects.
+    """
+    row, token, p_nonblank, lm_score = cells
+    lengths = np.array([len(h.prefix) + 1 for h in exp.parents], dtype=np.intp)
+    fused = (p_nonblank + config.alpha * LN10 * lm_score) + config.beta * lengths[row]
+    stays = list(exp.stays.values())
+    _score(stays, config)
+    total = len(stays) + fused.shape[0]
+    if total > config.beam_size:
+        scores = np.concatenate((np.array([h.fused_score for h in stays]), fused))
+        cut = np.partition(scores, total - config.beam_size)[total - config.beam_size]
+        stays = [h for h in stays if h.fused_score >= cut]
+        keep = np.flatnonzero(fused >= cut)
+        row, token, p_nonblank, lm_score = (column[keep] for column in cells)
+    built = [
+        BeamHypothesis(exp.parents[i].prefix + (c,), NEG_INF, p_nb, lm_score=lm_sc)
+        for i, c, p_nb, lm_sc in zip(row.tolist(), token.tolist(), p_nonblank.tolist(), lm_score.tolist())
+    ]
+    return _prune(stays + built, vocab, config)
+
+
 def ctc_step(
     hyps: list[BeamHypothesis],
     frame: np.ndarray,
@@ -232,71 +305,69 @@ def ctc_step(
     config: DecoderConfig,
     lm: NGramModel | None = None,
     prune: bool = True,
-) -> list[BeamHypothesis]:
+) -> list[BeamHypothesis] | BeamExpansion:
     """One prefix beam search step over a single emission frame.
 
     Blank extends p_blank of the same prefix; a repeated character
     merges into p_nonblank of the same prefix; any character extends the
-    prefix with an incremental LM score.  With prune=False the full
-    expanded set is returned unscored (fused_score 0.0) so homophone
-    injection can compete in the same step's prune; extend_homophones
-    scores it.
+    prefix with an incremental LM score.  The extensions are one
+    (hypothesis x candidate) array pass with one logprob_row per
+    hypothesis; a fresh extension's non-blank mass is its mass plus the
+    emission, so no transcendental function is needed.  The blank and
+    repeat records, and the extensions that land on a prefix already in
+    the beam, take the scalar path.  hyps must hold distinct prefixes.
+
+    Returns the pruned beam, or with prune=False the unpruned
+    BeamExpansion, so that homophone injection can compete in the same
+    step's prune (extend_homophones takes it).
     """
-    lp = np.asarray(frame)
-    blank = vocab.blank_index
-    lp_blank = float(lp[blank])
-    cand_ids = _frame_candidates(lp, blank, config.char_topk)
-    cands = [(c, float(lp[c])) for c in cand_ids]
-    if lm is not None:
-        cand_pos = np.array([lm.row_index(vocab.tokens[c]) for c in cand_ids], dtype=np.intp)
-    else:
-        incs = [0.0] * len(cands)
-    next_recs: dict[tuple[int, ...], BeamHypothesis] = {}
+    lp = np.asarray(frame, dtype=np.float64)
+    lp_blank = float(lp[vocab.blank_index])
+    tokens = np.array(_frame_candidates(lp, vocab.blank_index, config.char_topk), dtype=np.intp)
+    width = tokens.shape[0]
+    columns = np.full(vocab.size, -1, dtype=np.intp)
+    columns[tokens] = np.arange(width)
+    p_all = [_logaddexp(hyp.p_blank, hyp.p_nonblank) for hyp in hyps]
+    parents = [hyp for hyp, p in zip(hyps, p_all) if p != NEG_INF]
+    p_tot = [p for p in p_all if p != NEG_INF]
 
-    for hyp in hyps:
-        p_tot = _logaddexp(hyp.p_blank, hyp.p_nonblank)
-        if p_tot == NEG_INF:
+    # each cell's mass is p_tot, or p_blank where the token repeats the prefix's last
+    mass = np.repeat(np.array(p_tot, dtype=np.float64)[:, None], width, axis=1)
+    last_col = [int(columns[h.prefix[-1]]) if h.prefix else -1 for h in parents]
+    for i, k in enumerate(last_col):
+        if k >= 0:
+            mass[i, k] = parents[i].p_blank
+    p_nonblank = mass + lp[tokens]
+    lm_rows, inc = None, np.zeros_like(mass)
+    if lm is not None and parents:
+        lm_rows = [lm.logprob_row(_lm_context(lm, vocab, h.prefix)) for h in parents]
+        positions = lm.row_indices(vocab.tokens)[tokens]
+        inc = np.array([lm_row[positions] for lm_row in lm_rows])
+    lm_score = np.array([h.lm_score for h in parents])[:, None] + inc
+    exp = BeamExpansion(
+        parents, {h.prefix: i for i, h in enumerate(parents)}, tokens, columns, lm_rows,
+        mass, p_nonblank, inc, lm_score, mass != NEG_INF, {}, {},
+    )
+
+    for j, hyp in enumerate(parents):
+        k = last_col[j]
+        repeat = k >= 0 and hyp.p_nonblank != NEG_INF
+        if lp_blank == NEG_INF and not repeat:
             continue
-        last = hyp.prefix[-1] if hyp.prefix else None
-        if lm is not None:  # every candidate's LM increment, from one row
-            incs = lm.logprob_row(_lm_context(lm, vocab, hyp.prefix))[cand_pos].tolist()
-
-        if lp_blank != NEG_INF:
-            rec = next_recs.get(hyp.prefix)
-            if rec is None:
-                rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
-                next_recs[hyp.prefix] = rec
-            rec.p_blank = _logaddexp(rec.p_blank, p_tot + lp_blank)
-
-        for (c, lp_c), inc in zip(cands, incs):
-            if c == last:
-                if hyp.p_nonblank != NEG_INF:
-                    rec = next_recs.get(hyp.prefix)
-                    if rec is None:
-                        rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
-                        next_recs[hyp.prefix] = rec
-                    rec.p_nonblank = _logaddexp(rec.p_nonblank, hyp.p_nonblank + lp_c)
-                mass = hyp.p_blank
+        p_nb = hyp.p_nonblank + float(lp[tokens[k]]) if repeat else NEG_INF
+        lm_sc = hyp.lm_score
+        cell = exp.cell(hyp.prefix)
+        if cell is not None:  # the extension of this prefix's parent lands here too
+            i, c = cell
+            exp.fresh[i, c] = False
+            p_nb = _logaddexp(p_nb, float(p_nonblank[i, c]))
+            if i < j:  # the record takes the LM score of its first creator in beam order
+                lm_sc = float(lm_score[i, c])
             else:
-                mass = p_tot
-            if mass == NEG_INF:
-                continue
-            new_prefix = hyp.prefix + (c,)
-            rec = next_recs.get(new_prefix)
-            if rec is None:
-                rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
-                next_recs[new_prefix] = rec
-            elif rec.ext_index is not None:
-                inc = rec.ext_lm_inc
-            # a record seeded by the surviving prefix's blank/repeat path
-            # still needs the extension increment for injection
-            rec.ext_lm_inc = inc
-            rec.p_nonblank = _logaddexp(rec.p_nonblank, mass + lp_c)
-            rec.ext_index = c
-            rec.ext_mass = _logaddexp(rec.ext_mass, mass)
-
-    out = list(next_recs.values())
-    return _prune(out, vocab, config) if prune else out
+                lm_score[i, c] = lm_sc
+                exp.moved[i * width + c] = 2 * (j * width + (0 if lp_blank != NEG_INF else k))
+        exp.stays[hyp.prefix] = BeamHypothesis(hyp.prefix, p_tot[j] + lp_blank, p_nb, lm_score=lm_sc)
+    return _select(exp, exp.fresh_cells(), vocab, config) if prune else exp
 
 
 def _injection_table(
@@ -338,39 +409,37 @@ def _merge_siblings(
     entries: list[tuple[int, int, float]],
     table_start: list[int],
     table_size: list[int],
-    src_table: list[int],
-    src_parent: list[int],
-    src_mass: list[float],
+    src_table: np.ndarray,
+    src_parent: np.ndarray,
+    src_mass: np.ndarray,
     width: int,
 ) -> tuple[np.ndarray, ...]:
     """Every proposed sibling as arrays, merged per (parent, homophone).
 
-    Source i (an extended hypothesis) proposes one sibling per entry of
-    its injection table src_table[i], keyed parent * width + homophone,
-    with mass src_mass[i] + log adjusted probability.  Returns, per
-    distinct key in ascending order: the key, the index of its first
-    proposal in creation order, that proposal's source and entry, and
-    the largest mass of all its proposals.
+    Source i (an extension cell) proposes one sibling per entry of its
+    injection table src_table[i], keyed parent * width + homophone, with
+    mass src_mass[i] + log adjusted probability.  Returns, per distinct
+    key in ascending order: the key, that key's first proposal's source
+    and entry, and the largest mass of all its proposals.
     """
     h_ids = np.array([h_idx for h_idx, _, _ in entries])
     log_ps = np.array([log_p for _, _, log_p in entries])
-    src_tab = np.array(src_table, dtype=np.intp)
-    counts = np.array(table_size, dtype=np.intp)[src_tab]
-    src = np.repeat(np.arange(len(src_table)), counts)
-    skip = np.cumsum(counts) - counts - np.array(table_start, dtype=np.intp)[src_tab]
+    counts = np.array(table_size, dtype=np.intp)[src_table]
+    src = np.repeat(np.arange(src_table.shape[0]), counts)
+    skip = np.cumsum(counts) - counts - np.array(table_start, dtype=np.intp)[src_table]
     entry = np.arange(int(counts.sum())) - np.repeat(skip, counts)
-    keys = np.array(src_parent, dtype=np.int64)[src] * width + h_ids[entry]
+    keys = src_parent.astype(np.int64)[src] * width + h_ids[entry]
     # a stable sort puts each key's first proposal first
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     heads = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
     first = order[heads]
-    contrib = np.array(src_mass)[src] + log_ps[entry]
-    return sorted_keys[heads], first, src[first], entry[first], np.maximum.reduceat(contrib[order], heads)
+    contrib = src_mass[src] + log_ps[entry]
+    return sorted_keys[heads], src[first], entry[first], np.maximum.reduceat(contrib[order], heads)
 
 
 def extend_homophones(
-    hyps: list[BeamHypothesis],
+    hyps: BeamExpansion,
     frame: np.ndarray,
     index: HomophoneIndex,
     vocab: Vocabulary,
@@ -381,116 +450,85 @@ def extend_homophones(
 ) -> list[BeamHypothesis]:
     """Inject homophone siblings for this step's character extensions.
 
-    For every hypothesis extended by character c this step and every
+    For every prefix extended by character c this step and every
     homophone h of c present in the vocabulary, a sibling hypothesis
     replaces c with h; its non-blank mass uses the adjusted probability
     from homophone_adjusted_prob and its LM increment is recomputed for
     h.  Injected and organic hypotheses then compete in one prune.
-    Expects the unpruned output of ctc_step(prune=False).
+    hyps is the BeamExpansion of ctc_step(prune=False) with the same lm.
 
     The adjusted probabilities depend only on the frame and the source
     character, so each distinct source gets one injection table per
-    call, shared by every hypothesis it extended.  Siblings are scored
-    as arrays: a sibling reached from several sources (or several
-    hypotheses with one parent) keeps the largest non-blank mass and the
-    LM score of its first creator, one reached organically too is merged
-    into that hypothesis, and LM increments come from one logprob_row
-    per parent.  Only siblings scoring at least the beam_size-th best
-    fused score become BeamHypothesis objects.
+    call, shared by every cell it extends.  Sources and their audit
+    records follow the order in which ctc_step created the records.
+    Siblings are scored as arrays: a sibling reached from several
+    sources (or several cells of one parent) keeps the largest non-blank
+    mass and the LM score of its first creator, one reached organically
+    too is merged into that prefix, and LM increments come from the
+    expansion's logprob_row of the parent.  Only prefixes scoring at
+    least the beam_size-th best fused score become BeamHypothesis objects.
     """
+    exp = hyps  # named hyps, as before, for callers that pass it by keyword
     if not config.he_enabled:
-        return _prune(list(hyps), vocab, config)
+        return _select(exp, exp.fresh_cells(), vocab, config)
     lp = np.asarray(frame)
-    organic = list({h.prefix: h for h in hyps}.values())
-    tables: dict[int, int] = {}  # source vocab id -> table number
-    table_start: list[int] = []
-    table_size: list[int] = []
-    table_records: list[list[HEInjection]] = []
-    entries: list[tuple[int, int, float]] = []  # every table, concatenated
-    parents: dict[tuple[int, ...], int] = {}
-    # per extended hypothesis with injections: table, parent, mass, LM score of the parent
-    src_table: list[int] = []
-    src_parent: list[int] = []
-    src_mass: list[float] = []
-    src_base_lm: list[float] = []
-
-    for hyp in hyps:
-        c_idx = hyp.ext_index
-        if c_idx is None:
-            continue
-        t = tables.get(c_idx)
-        if t is None:
-            t = tables[c_idx] = len(table_start)
-            table, records = _injection_table(c_idx, lp, index, vocab, config, lm, step)
+    width = exp.tokens.shape[0]
+    live = exp.mass != NEG_INF
+    src = np.flatnonzero(live)  # row-major
+    if exp.moved:  # cells merged into a stay created before them
+        order = 2 * src + 1
+        order[np.searchsorted(src, list(exp.moved))] = list(exp.moved.values())
+        src = src[np.argsort(order)]
+    table_of = np.full(width, -1, dtype=np.intp)  # column -> table number
+    # per table: start in entries (every table, concatenated), size, audit records
+    table_start, table_size, table_records, entries = [], [], [], []
+    for k in np.flatnonzero(live.any(axis=0)).tolist():
+        table, records = _injection_table(int(exp.tokens[k]), lp, index, vocab, config, lm, step)
+        if table:
+            table_of[k] = len(table_start)
             table_start.append(len(entries))
             table_size.append(len(table))
             table_records.append(records)
             entries.extend(table)
-        if not table_size[t]:
-            continue
-        if audit is not None:
+    src_table = table_of[src % max(width, 1)]
+    src, src_table = src[src_table >= 0], src_table[src_table >= 0]
+    if not src.shape[0]:
+        return _select(exp, exp.fresh_cells(), vocab, config)
+    if audit is not None:
+        for t in src_table.tolist():
             audit.extend(table_records[t])
-        src_table.append(t)
-        src_parent.append(parents.setdefault(hyp.prefix[:-1], len(parents)))
-        src_mass.append(hyp.ext_mass)
-        src_base_lm.append(hyp.lm_score - hyp.ext_lm_inc)
-    if not src_table:
-        return _prune(organic, vocab, config)
 
-    width = vocab.size
-    sib_keys, first, first_src, first_entry, p_nonblank = _merge_siblings(
-        entries, table_start, table_size, src_table, src_parent, src_mass, width
+    size = vocab.size
+    sib_keys, first_src, first_entry, p_nonblank = _merge_siblings(
+        entries, table_start, table_size, src_table, src // width, exp.mass.ravel()[src], size
     )
-
-    parent_list = list(parents)
-    by_key: dict[int, BeamHypothesis] = {}
-    for hyp in organic:
-        if hyp.prefix:
-            pid = parents.get(hyp.prefix[:-1])
-            if pid is not None:
-                by_key[pid * width + hyp.prefix[-1]] = hyp
+    sib_row, sib_token = np.divmod(sib_keys, size)
+    # a sibling that is an organic prefix too is merged into it
+    col = exp.columns[sib_token]
+    hit = (col >= 0) & exp.fresh[sib_row, col]
+    row, col, mass = sib_row[hit], col[hit], p_nonblank[hit]
+    exp.p_nonblank[row, col] = np.where(mass > exp.p_nonblank[row, col], mass, exp.p_nonblank[row, col])
+    by_key = {exp.rows[p[:-1]] * size + p[-1]: rec for p, rec in exp.stays.items() if p and p[:-1] in exp.rows}
     if by_key:
-        hit = np.isin(sib_keys, np.fromiter(by_key, dtype=np.int64, count=len(by_key)))
-        for key, mass in zip(sib_keys[hit].tolist(), p_nonblank[hit].tolist()):
+        on_stay = np.isin(sib_keys, np.fromiter(by_key, dtype=np.int64, count=len(by_key)))
+        for key, mass in zip(sib_keys[on_stay].tolist(), p_nonblank[on_stay].tolist()):
             rec = by_key[key]
             if mass > rec.p_nonblank:
                 rec.p_nonblank = mass
-        fresh = ~hit
-        sib_keys, first, first_src, first_entry, p_nonblank = (
-            column[fresh] for column in (sib_keys, first, first_src, first_entry, p_nonblank)
-        )
+        hit |= on_stay
+    sib_row, sib_token, first_src, first_entry, p_nonblank = (
+        column[~hit] for column in (sib_row, sib_token, first_src, first_entry, p_nonblank)
+    )
 
-    # sorted keys group the remaining siblings by parent
-    sib_parent = sib_keys // width
-    inc = np.zeros(sib_keys.shape[0])
-    if lm is not None:
-        sib_pos = np.array([pos for _, pos, _ in entries])[first_entry]
-        starts = np.flatnonzero(np.diff(sib_parent, prepend=-1)).tolist()
-        for lo, hi in zip(starts, starts[1:] + [sib_keys.shape[0]]):
-            ctx = _lm_context(lm, vocab, parent_list[int(sib_parent[lo])])
-            inc[lo:hi] = lm.logprob_row(ctx)[sib_pos[lo:hi]]
-    lm_score = np.array(src_base_lm)[first_src] + inc
-    lengths = np.array([len(p) + 1 for p in parent_list])[sib_parent]
-    lm_weight = config.alpha * LN10
-    fused = (p_nonblank + lm_weight * lm_score) + config.beta * lengths
-
-    # only hypotheses at or above the beam_size-th best score can survive _prune
-    _score(organic, config)
-    chosen = np.arange(fused.shape[0])
-    total = len(organic) + fused.shape[0]
-    if total > config.beam_size:
-        scores = np.concatenate((np.array([h.fused_score for h in organic]), fused))
-        cut = np.partition(scores, total - config.beam_size)[total - config.beam_size]
-        organic = [h for h in organic if h.fused_score >= cut]
-        chosen = np.flatnonzero(fused >= cut)
-    chosen = chosen[np.argsort(first[chosen], kind="stable")]
-    survivors = [
-        BeamHypothesis(parent_list[key // width] + (key % width,), NEG_INF, mass, lm_score=lm_sc, ext_lm_inc=lm_inc)
-        for key, mass, lm_sc, lm_inc in zip(
-            sib_keys[chosen].tolist(), p_nonblank[chosen].tolist(), lm_score[chosen].tolist(), inc[chosen].tolist()
-        )
-    ]
-    return _prune(organic + survivors, vocab, config)
+    inc = np.zeros(sib_row.shape[0])
+    if exp.lm_rows is not None:
+        sib_pos = np.array([pos for _, pos, _ in entries], dtype=np.intp)[first_entry]
+        for i, lm_row in enumerate(exp.lm_rows):
+            at = sib_row == i
+            inc[at] = lm_row[sib_pos[at]]
+    base_lm = exp.lm_score.ravel()[src] - exp.inc.ravel()[src]
+    siblings = (sib_row, sib_token, p_nonblank, base_lm[first_src] + inc)
+    return _select(exp, tuple(map(np.concatenate, zip(exp.fresh_cells(), siblings))), vocab, config)
 
 
 def decode(
@@ -519,9 +557,10 @@ def decode(
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(emissions.frames):
         row = log_probs[t]
-        if he_on:
+        if he_on:  # each frame's expansion, LM rows included, is dropped before the next is built
             expanded = ctc_step(beam, row, vocab, config, lm, prune=False)
             beam = extend_homophones(expanded, row, index, vocab, config, lm, step=t, audit=audit)
+            del expanded
         else:
             beam = ctc_step(beam, row, vocab, config, lm, prune=True)
 

@@ -13,8 +13,10 @@ then takes each stored higher-order n-gram of the context's suffixes,
 shortest suffix first.  The vectors it needs (unigram scores, and the
 successors of every context as flat position/score arrays) are built on
 the first row query and cached on the model, so loading stays a plain
-parse.  Queries are read-only and safe to run concurrently; concurrent
-first row queries may each build that view, and all builds are equal.
+parse, as are the row positions of the last vocabulary that row_indices
+mapped.  Queries are otherwise read-only and safe to run concurrently;
+concurrent queries may each build a cached value, and all builds are
+equal.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ class NGramModel:
     end: str = SENTENCE_END
     unk: str = UNKNOWN
     _rows: _RowView | None = field(default=None, init=False, repr=False, compare=False)
+    _row_indices: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def normalize_token(self, token: str) -> str:
         """Map tokens absent from the unigram table to the unknown symbol."""
@@ -116,6 +119,17 @@ class NGramModel:
         view = self._rows or self._build_rows()
         position = view.position(token)
         return view.unk_position if position is None else position
+
+    def row_indices(self, tokens: tuple[str, ...]) -> np.ndarray:
+        """row_index of every token, as a read-only array; the array for
+        the last tokens asked for is kept, so a decode maps its
+        vocabulary once."""
+        cached = self._row_indices
+        if cached is None or (cached[0] is not tokens and cached[0] != tokens):
+            positions = np.array([self.row_index(token) for token in tokens], dtype=np.intp)
+            positions.flags.writeable = False
+            cached = self._row_indices = (tokens, positions)
+        return cached[1]
 
     def logprob_row(self, context: tuple[str, ...]) -> np.ndarray:
         """log10 P(t | context) for every row position t, as a new array.

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -115,6 +116,7 @@ def test_decode_malformed_input_exit_2(decode_world, tmp_path, capsys):
 @pytest.mark.parametrize("flag, value, message", [
     ("--beam", "0", "beam_size must be >= 1"),
     ("--alpha", "nan", "alpha must be finite"),
+    ("--char-topk", "-1", "char_topk must be >= 0"),
 ])
 def test_decode_bad_setting_flag_exit_2(decode_world, capsys, flag, value, message):
     with pytest.raises(SystemExit) as exc:
@@ -123,11 +125,30 @@ def test_decode_bad_setting_flag_exit_2(decode_world, capsys, flag, value, messa
     assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
+def test_decode_char_topk_flag(decode_world, tmp_path, capsys):
+    # three characters: the default 64 searches them all, as 0 does, and
+    # 1 keeps only the most probable non-blank character of each frame
+    # (阻, 左, 面), so every transcript is a subsequence of 阻左面
+    outputs = {}
+    for topk in ("0", "1", None):
+        out = tmp_path / f"nbest-{topk}.jsonl"
+        extra = ("--char-topk", topk) if topk else ()
+        assert run_decode(decode_world, *extra, "--no-he", "--nbest", "50", "--nbest-out", str(out)) == 0
+        outputs[topk] = out.read_bytes()
+    capsys.readouterr()
+    assert outputs["0"] == outputs[None]
+    exact = {json.loads(line)["transcript"] for line in outputs["0"].decode("utf-8").splitlines()}
+    narrow = {json.loads(line)["transcript"] for line in outputs["1"].decode("utf-8").splitlines()}
+    assert narrow <= {"".join(c) for n in range(4) for c in itertools.combinations("阻左面", n)}
+    assert len(exact) > len(narrow)
+
+
 def test_decode_defaults_are_decoder_config_defaults():
     args = build_parser().parse_args(["decode", "--emissions", "e", "--vocab", "v", "--lexicon", "x", "--lm", "m"])
     parsed = {
         "beam_size": args.beam, "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
         "he_enabled": args.he, "nbest": args.nbest, "rescore_enabled": args.rescore,
+        "char_topk": args.char_topk,
     }
     defaults = DecoderConfig()
     assert parsed == {name: getattr(defaults, name) for name in parsed}
@@ -192,6 +213,15 @@ def test_uw_discover_bad_setting_flag_exit_2(uw_world, capsys):
         )
     assert exc.value.code == 2
     assert "argument --cosine-min: cosine_min must be >= 0" in capsys.readouterr().err
+
+
+def test_uw_discover_help_states_min_methods_default_once(capsys):
+    with pytest.raises(SystemExit):
+        main(["uw", "discover", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    help_text = text[text.rindex("--min-methods MIN_METHODS") :]
+    assert help_text.count("default") == 1
+    assert "(default: None)" in help_text
 
 
 def test_uw_discover_defaults_are_uw_config_defaults():
@@ -389,6 +419,31 @@ def test_compare_five_variant_ladder(compare_world, capsys):
     for variant in ("baseline", "lm", "lm_he", "lm_uw", "lm_he_uw"):
         assert (out_dir / f"report_{variant}.jsonl").exists()
         assert (out_dir / f"report_{variant}.tsv").exists()
+
+
+def test_compare_warns_when_references_orient_uw_pairs(compare_world, capsys):
+    args = ["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"]]
+    out_dir = compare_world["dir"] / "out"
+    assert main(args) == 0
+    counted = capsys.readouterr()
+    assert counted.err.count("\n") == 1
+    assert "warning:" in counted.err and "reference transcripts" in counted.err
+    files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+    assert counted.out.encode("utf-8") == files["comparison.tsv"]
+
+    # a frequency file with the references' own counts orients the pairs the
+    # same way: no warning, and the same stdout and output files
+    freq = compare_world["dir"] / "freq.tsv"
+    freq.write_text("面\t2\n裏\t1\n", encoding="utf-8")
+    config = json.loads(open(compare_world["config"], encoding="utf-8").read())
+    config["frequency"] = str(freq)
+    with_freq = compare_world["dir"] / "config_freq.json"
+    with_freq.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["compare", "--manifest", compare_world["manifest"], "--config", str(with_freq)]) == 0
+    given = capsys.readouterr()
+    assert given.err == ""
+    assert given.out == counted.out
+    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == files
 
 
 def test_compare_byte_identical_reruns(compare_world, capsys):

@@ -422,9 +422,9 @@ def test_injected_sibling_lm_when_extension_merges_into_survivor(tmp_path):
     parent = BeamHypothesis((1,), math.log(0.3), math.log(0.1), lm_score=lm_a)
     row = np.log(np.array([0.2, 0.3, 0.5]))
     expanded = ctc_step([survivor, parent], row, vocab, config, lm, prune=False)
-    merged = {h.prefix: h for h in expanded}
-    assert merged[(1, 2)].ext_index == 2
-    assert merged[(1, 2)].ext_lm_inc == score_increment(lm, ["左"], "阻")
+    ext_row, ext_col = expanded.cell((1, 2))
+    assert expanded.tokens[ext_col] == 2
+    assert expanded.inc[ext_row, ext_col] == score_increment(lm, ["左"], "阻")
     out = extend_homophones(expanded, row, index, vocab, config, lm)
     siblings = {h.prefix: h for h in out}
     assert siblings[(1, 1)].lm_score == lm_a + score_increment(lm, ["左"], "左")
@@ -612,3 +612,96 @@ def test_frame_candidates_match_full_sort_on_ties_and_non_finite():
         for topk in (0, 1, 2, 5, width - 2, width - 1, width, width + 1):
             topk = max(topk, 0)
             assert _frame_candidates(lp, blank, topk) == reference_frame_candidates(lp, blank, topk)
+
+
+# --- the array beam step against the frozen reference under exact search ---
+
+
+def _hex_result(result):
+    return (
+        [(e.transcript, e.fused_score.hex(), e.acoustic_score.hex(), e.lm_score.hex()) for e in result.nbest],
+        [(r.step, r.source, r.injected, r.prob.hex()) for r in result.he_injections],
+    )
+
+
+def _beam_order_collisions(matrix, vocab, index, lm, config):
+    """How often a frame extends a beam holding a prefix and its parent:
+    [child ranked before parent, parent ranked before child]."""
+    counts = [0, 0]
+    beam = [BeamHypothesis((), 0.0, NEG_INF)]
+    for t, row in enumerate(matrix.log_probs):
+        rank = {h.prefix: n for n, h in enumerate(beam)}
+        for prefix, n in rank.items():
+            if prefix and prefix[:-1] in rank:
+                counts[n > rank[prefix[:-1]]] += 1
+        if config.he_enabled:
+            expanded = ctc_step(beam, row, vocab, config, lm, prune=False)
+            beam = extend_homophones(expanded, row, index, vocab, config, lm, step=t)
+        else:
+            beam = ctc_step(beam, row, vocab, config, lm)
+    return counts
+
+
+def test_exact_search_bit_identical_to_reference_at_v300(tmp_path):
+    # V = 300: 299 characters under 70 codes, a fifth of them polyphonic,
+    # some lexicon characters outside the vocabulary and some vocabulary
+    # characters outside the lexicon; rows put a large share on the blank
+    # and a few peaks, so beams hold prefixes next to their parents
+    rng = random.Random(4242)
+    chars = [chr(0x4E00 + i) for i in range(310)]
+    codes = [f"s{chr(97 + n // 6)}{1 + n % 6}" for n in range(70)]
+    lexicon = [(c, code) for c in chars[:290] for code in rng.sample(codes, 2 if rng.random() < 0.2 else 1)]
+    index = build_homophone_index(load_lexicon(write_lexicon(tmp_path / "lex.tsv", lexicon)))
+    vocab_chars = chars[5:304]
+    vocab = Vocabulary(tuple(["<b>"] + vocab_chars), 0)
+    lm = load_arpa(write_random_backoff_arpa(tmp_path / "lm.arpa", rng, vocab_chars, 3))
+    collisions = [0, 0]
+    for beam_size in range(1, 9):
+        for he_enabled in (False, True):
+            rows = []
+            for _ in range(rng.randint(3, 4)):
+                weights = [rng.random() * 0.05 for _ in range(vocab.size)]
+                for peak in rng.sample(range(1, vocab.size), 3):
+                    weights[peak] = rng.uniform(0.3, 2.0)
+                weights[0] = rng.uniform(1.0, 4.0)
+                rows.append([w / sum(weights) for w in weights])
+            matrix = matrix_from_linear(rows)
+            config = DecoderConfig(
+                beam_size=beam_size,
+                gamma=rng.random(),
+                he_enabled=he_enabled,
+                nbest=beam_size,
+                rescore_enabled=rng.random() < 0.5,
+                char_topk=0,
+            )
+            got = decode(matrix, vocab, index, lm, config)
+            assert _hex_result(got) == _hex_result(reference_decode(matrix, vocab, index, lm, config))
+            assert bool(got.he_injections) == he_enabled
+            for n, count in enumerate(_beam_order_collisions(matrix, vocab, index, lm, config)):
+                collisions[n] += count
+    assert all(count > 0 for count in collisions), collisions
+
+
+def test_collision_record_takes_lm_score_of_first_creator_in_beam_order(tmp_path):
+    # "左阻" is in the beam and so is its parent "左": the record for 左阻
+    # is created by whichever comes first (its blank/repeat stay, or the
+    # parent's extension by 阻) and keeps that creator's LM score; the
+    # masses add: p_blank = .3 * .2, p_nonblank = .1 * .5 + (.3 + .1) * .5
+    vocab = Vocabulary(("<b>", "左", "阻"), 0)
+    lm = load_arpa(write_arpa(
+        tmp_path / "lm.arpa",
+        {"左": (-1.0, -0.2), "阻": (-0.5, -0.1)},
+        {("左", "阻"): -0.15},
+    ))
+    config = DecoderConfig(beam_size=10, alpha=0.45, beta=0.0, he_enabled=False, rescore_enabled=False)
+    lm_a = score_increment(lm, [], "左")
+    child = BeamHypothesis((1, 2), math.log(0.2), math.log(0.1), lm_score=-3.0)
+    parent = BeamHypothesis((1,), math.log(0.3), math.log(0.1), lm_score=lm_a)
+    row = np.log(np.array([0.2, 0.3, 0.5]))
+    child_first = {h.prefix: h for h in ctc_step([child, parent], row, vocab, config, lm)}[(1, 2)]
+    parent_first = {h.prefix: h for h in ctc_step([parent, child], row, vocab, config, lm)}[(1, 2)]
+    assert child_first.lm_score == -3.0
+    assert parent_first.lm_score == lm_a + score_increment(lm, ["左"], "阻")
+    for rec in (child_first, parent_first):
+        assert rec.p_blank == pytest.approx(math.log(0.3 * 0.2), abs=1e-12)
+        assert rec.p_nonblank == pytest.approx(math.log(0.1 * 0.5 + 0.4 * 0.5), abs=1e-12)

@@ -166,6 +166,18 @@ def test_logprob_row_equals_conditional_logprob(tmp_path):
     assert unk_modes == {"unigram", "higher", "absent"}
 
 
+def test_row_indices_are_row_index_per_token_and_kept(toy_model):
+    tokens = ("<b>", "a", "b", "never-seen", "a")
+    positions = toy_model.row_indices(tokens)
+    assert positions.tolist() == [toy_model.row_index(t) for t in tokens]
+    assert not positions.flags.writeable
+    assert toy_model.row_indices(tokens) is positions
+    assert toy_model.row_indices(tuple(list(tokens))) is positions  # an equal tuple reuses it too
+    assert toy_model.row_indices(("b",)).tolist() == [toy_model.row_index("b")]
+    assert toy_model.row_indices(tokens) is not positions  # only the last vocabulary is kept
+    assert toy_model.row_indices(tokens).tolist() == positions.tolist()
+
+
 def test_probabilities_nonpositive(toy_model):
     assert all(p <= 0.0 for p in toy_model.probs.values())
 
