@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .decoder import DecoderConfig, decode
 from .emissions import load_emissions, load_vocab
-from .errors import FormatError, HomodecodeError, open_text
+from .errors import FormatError, HomodecodeError, check_types, open_text
 from .evaluation import (
     VARIANTS,
     ComparisonAssets,
@@ -60,6 +60,13 @@ class ToolConfig:
     variants: tuple[str, ...] = VARIANTS
     uw_on_references: bool = False
 
+    def __post_init__(self):
+        check_types(self, (str,), "vocab", "output_dir")
+        check_types(self, (str, type(None)), "lexicon", "lm", "embeddings", "frequency", "pairs", "cin_dir")
+        check_types(self, (bool,), "uw_on_references")
+        if not (isinstance(self.variants, tuple) and all(isinstance(v, str) for v in self.variants)):
+            raise TypeError(f"variants must be a list of str, got {self.variants!r}")
+
     @classmethod
     def from_json(cls, path: str) -> "ToolConfig":
         try:
@@ -67,15 +74,18 @@ class ToolConfig:
                 obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise FormatError(f"{path}: bad config: expected a JSON object, got {type(obj).__name__}")
+        variants = obj.get("variants", VARIANTS)
         try:
-            # a key that is no field (a misspelt "lexcon") is a TypeError naming it
+            # a key that is no field (a misspelt "lexcon") is a TypeError naming it,
+            # and so is a value of the wrong JSON type
             config = cls(
                 **{
                     **obj,
                     "decoder": DecoderConfig(**obj.get("decoder", {})),
                     "uw": UWConfig(**obj.get("uw", {})),
-                    "variants": tuple(obj.get("variants", VARIANTS)),
-                    "uw_on_references": bool(obj.get("uw_on_references", False)),
+                    "variants": tuple(variants) if isinstance(variants, list) else variants,
                 }
             )
         except (TypeError, ValueError) as exc:

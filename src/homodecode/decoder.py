@@ -1,9 +1,11 @@
 """CTC prefix beam search with n-gram shallow fusion, homophone
 extension, and final n-best LM rescoring.
 
-The search tracks, per collapsed prefix, the natural-log probability of
-ending in blank and in non-blank.  Pruning ranks prefixes by the fused
-score
+Every frame takes one path: ctc_step extends the beam into an unpruned
+BeamExpansion, and extend_homophones injects homophone siblings into it
+(none with homophone extension off) and prunes it.  The search tracks,
+per collapsed prefix, the natural-log probability of ending in blank and
+in non-blank.  Pruning ranks prefixes by the fused score
 
     logsumexp(p_blank, p_nonblank) + alpha * ln(10) * lm_score + beta * |prefix|
 
@@ -14,14 +16,13 @@ bit-identical.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .emissions import EmissionMatrix, Vocabulary
-from .errors import EmptyEmissions, InvalidProbability
+from .errors import EmptyEmissions, InvalidProbability, check_types
 from .lexicon import HomophoneIndex
 from .ngram_lm import NGramModel, score_sequence
 
@@ -63,6 +64,9 @@ class DecoderConfig:
     char_topk: int = 64
 
     def __post_init__(self):
+        check_types(self, (int,), "beam_size", "nbest", "char_topk")
+        check_types(self, (float, int), "alpha", "beta", "gamma")
+        check_types(self, (bool,), "he_enabled", "rescore_enabled")
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -162,31 +166,6 @@ def homophone_adjusted_prob(a_p: float, q: float, n_pron: int, gamma: float) -> 
     return max(a_p, (1.0 - gamma) * a_p + gamma * q * discount)
 
 
-def _score(hyps: list[BeamHypothesis], config: DecoderConfig) -> None:
-    """Set each hypothesis's fused score (see the module docstring)."""
-    lm_weight = config.alpha * LN10
-    for hyp in hyps:
-        hyp.fused_score = (
-            _logaddexp(hyp.p_blank, hyp.p_nonblank)
-            + lm_weight * hyp.lm_score
-            + config.beta * len(hyp.prefix)
-        )
-
-
-def _prune(hyps: list[BeamHypothesis], vocab: Vocabulary, config: DecoderConfig) -> list[BeamHypothesis]:
-    """Score every hypothesis and keep the beam_size best.
-
-    Only hypotheses scoring at least the beam_size-th best fused score
-    can survive, so transcript sort keys are built for those alone.
-    """
-    _score(hyps, config)
-    if len(hyps) > config.beam_size:
-        cut = heapq.nlargest(config.beam_size, [h.fused_score for h in hyps])[-1]
-        hyps = [h for h in hyps if h.fused_score >= cut]
-    hyps.sort(key=lambda h: (-h.fused_score, h.text(vocab)))
-    return hyps[: config.beam_size]
-
-
 def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
     """Non-blank candidate indices, most probable first, ties by index,
     up to the first -inf entry.
@@ -207,22 +186,9 @@ def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
     return order[: dead[0] if dead.shape[0] else None][: topk or None].tolist()
 
 
-def _lm_context(lm: NGramModel, vocab: Vocabulary, prefix: tuple[int, ...]) -> tuple[str, ...]:
-    """Normalised context that scores the token following prefix.
-
-    Matches score_increment: a sentence-start symbol, then the prefix's
-    last order-1 tokens mapped to the unknown symbol when out of vocabulary.
-    """
-    span = lm.order - 1
-    if span <= 0:
-        return ()
-    effective = [lm.start] + [lm.normalize_token(vocab.tokens[i]) for i in prefix[-span:]]
-    return tuple(effective[-span:])
-
-
 @dataclass
 class BeamExpansion:
-    """One frame's unpruned beam, as returned by ctc_step(prune=False).
+    """One frame's unpruned beam, as ctc_step returns it.
 
     Cell (i, k) extends parents[i] (rows maps its prefix to i) by token
     tokens[k] (columns maps a vocabulary id to k, or -1).  Per cell,
@@ -273,29 +239,35 @@ class BeamExpansion:
 
 def _select(exp: BeamExpansion, cells: tuple[np.ndarray, ...], vocab: Vocabulary, config: DecoderConfig):
     """The pruned beam over exp's stays and the new single-path prefixes
-    in cells (parent row, appended token, non-blank mass, LM score).
+    in cells (parent row, appended token, non-blank mass, LM score): the
+    beam_size best by fused score, best first, ties in transcript order.
 
-    A cell's fused score is (p_nonblank + w * lm_score) + beta * length,
-    which is _score's sum when p_blank is -inf.  Only cells at or above
-    the beam_size-th best fused score become BeamHypothesis objects.
+    Each fused score is (acoustic + w * lm_score) + beta * length (see
+    the module docstring); a cell's acoustic score is its p_nonblank, as
+    its p_blank is -inf.  Only cells at or above the beam_size-th best
+    fused score become BeamHypothesis objects.
     """
-    row, token, p_nonblank, lm_score = cells
-    lengths = np.array([len(h.prefix) + 1 for h in exp.parents], dtype=np.intp)
-    fused = (p_nonblank + config.alpha * LN10 * lm_score) + config.beta * lengths[row]
+    lm_weight = config.alpha * LN10
     stays = list(exp.stays.values())
-    _score(stays, config)
+    for h in stays:
+        h.fused_score = (h.acoustic_score() + lm_weight * h.lm_score) + config.beta * len(h.prefix)
+    lengths = np.array([len(h.prefix) + 1 for h in exp.parents], dtype=np.intp)
+    row, _, p_nonblank, lm_score = cells
+    fused = (p_nonblank + lm_weight * lm_score) + config.beta * lengths[row]
+    cells += (fused,)
     total = len(stays) + fused.shape[0]
     if total > config.beam_size:
         scores = np.concatenate((np.array([h.fused_score for h in stays]), fused))
         cut = np.partition(scores, total - config.beam_size)[total - config.beam_size]
         stays = [h for h in stays if h.fused_score >= cut]
         keep = np.flatnonzero(fused >= cut)
-        row, token, p_nonblank, lm_score = (column[keep] for column in cells)
-    built = [
-        BeamHypothesis(exp.parents[i].prefix + (c,), NEG_INF, p_nb, lm_score=lm_sc)
-        for i, c, p_nb, lm_sc in zip(row.tolist(), token.tolist(), p_nonblank.tolist(), lm_score.tolist())
+        cells = tuple(column[keep] for column in cells)
+    beam = stays + [
+        BeamHypothesis(exp.parents[i].prefix + (c,), NEG_INF, p_nb, lm_score=lm_sc, fused_score=f)
+        for i, c, p_nb, lm_sc, f in zip(*(column.tolist() for column in cells))
     ]
-    return _prune(stays + built, vocab, config)
+    beam.sort(key=lambda h: (-h.fused_score, h.text(vocab)))
+    return beam[: config.beam_size]
 
 
 def ctc_step(
@@ -304,8 +276,7 @@ def ctc_step(
     vocab: Vocabulary,
     config: DecoderConfig,
     lm: NGramModel | None = None,
-    prune: bool = True,
-) -> list[BeamHypothesis] | BeamExpansion:
+) -> BeamExpansion:
     """One prefix beam search step over a single emission frame.
 
     Blank extends p_blank of the same prefix; a repeated character
@@ -317,9 +288,9 @@ def ctc_step(
     repeat records, and the extensions that land on a prefix already in
     the beam, take the scalar path.  hyps must hold distinct prefixes.
 
-    Returns the pruned beam, or with prune=False the unpruned
-    BeamExpansion, so that homophone injection can compete in the same
-    step's prune (extend_homophones takes it).
+    Returns the unpruned BeamExpansion; extend_homophones injects
+    homophones into it and prunes it, so that injected and organic
+    prefixes compete in one prune.
     """
     lp = np.asarray(frame, dtype=np.float64)
     lp_blank = float(lp[vocab.blank_index])
@@ -340,7 +311,9 @@ def ctc_step(
     p_nonblank = mass + lp[tokens]
     lm_rows, inc = None, np.zeros_like(mass)
     if lm is not None and parents:
-        lm_rows = [lm.logprob_row(_lm_context(lm, vocab, h.prefix)) for h in parents]
+        # a context reads at most the last order - 1 tokens
+        contexts = [lm.context([vocab.tokens[i] for i in h.prefix[-lm.order :]]) for h in parents]
+        lm_rows = [lm.logprob_row(context) for context in contexts]
         positions = lm.row_indices(vocab.tokens)[tokens]
         inc = np.array([lm_row[positions] for lm_row in lm_rows])
     lm_score = np.array([h.lm_score for h in parents])[:, None] + inc
@@ -367,7 +340,7 @@ def ctc_step(
                 lm_score[i, c] = lm_sc
                 exp.moved[i * width + c] = 2 * (j * width + (0 if lp_blank != NEG_INF else k))
         exp.stays[hyp.prefix] = BeamHypothesis(hyp.prefix, p_tot[j] + lp_blank, p_nb, lm_score=lm_sc)
-    return _select(exp, exp.fresh_cells(), vocab, config) if prune else exp
+    return exp
 
 
 def _injection_table(
@@ -376,17 +349,16 @@ def _injection_table(
     index: HomophoneIndex,
     vocab: Vocabulary,
     config: DecoderConfig,
-    lm: NGramModel | None,
     step: int,
-) -> tuple[list[tuple[int, int, float]], list[HEInjection]]:
+) -> tuple[list[tuple[int, float]], list[HEInjection]]:
     """This frame's injections for source character c_idx.
 
-    Returns (homophone index, LM row position, log adjusted probability)
-    per in-vocabulary homophone with a positive adjusted probability, and
-    the matching audit records, in homophones_of order.
+    Returns (homophone index, log adjusted probability) per
+    in-vocabulary homophone with a positive adjusted probability, and the
+    matching audit records, in homophones_of order.
     """
     source = vocab.tokens[c_idx]
-    entries: list[tuple[int, int, float]] = []
+    entries: list[tuple[int, float]] = []
     records: list[HEInjection] = []
     homophones = index.homophones_of(source)
     if not homophones:
@@ -400,16 +372,16 @@ def _injection_table(
         p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
         if p <= 0.0:
             continue
-        entries.append((h_idx, lm.row_index(h_char) if lm is not None else 0, math.log(p)))
+        entries.append((h_idx, math.log(p)))
         records.append(HEInjection(step, source, h_char, p))
     return entries, records
 
 
 def _merge_siblings(
-    entries: list[tuple[int, int, float]],
-    table_start: list[int],
-    table_size: list[int],
-    src_table: np.ndarray,
+    h_ids: np.ndarray,
+    log_ps: np.ndarray,
+    first: np.ndarray,
+    size: np.ndarray,
     src_parent: np.ndarray,
     src_mass: np.ndarray,
     width: int,
@@ -417,45 +389,44 @@ def _merge_siblings(
     """Every proposed sibling as arrays, merged per (parent, homophone).
 
     Source i (an extension cell) proposes one sibling per entry of its
-    injection table src_table[i], keyed parent * width + homophone, with
-    mass src_mass[i] + log adjusted probability.  Returns, per distinct
-    key in ascending order: the key, that key's first proposal's source
-    and entry, and the largest mass of all its proposals.
+    injection table, h_ids and log_ps [first[i] : first[i] + size[i]],
+    keyed parent * width + homophone, with mass src_mass[i] + log
+    adjusted probability.  Returns, per distinct key in ascending order:
+    the key, that key's first proposal's source, and the largest mass of
+    all its proposals.
     """
-    h_ids = np.array([h_idx for h_idx, _, _ in entries])
-    log_ps = np.array([log_p for _, _, log_p in entries])
-    counts = np.array(table_size, dtype=np.intp)[src_table]
-    src = np.repeat(np.arange(src_table.shape[0]), counts)
-    skip = np.cumsum(counts) - counts - np.array(table_start, dtype=np.intp)[src_table]
-    entry = np.arange(int(counts.sum())) - np.repeat(skip, counts)
+    src = np.repeat(np.arange(size.shape[0]), size)
+    entry = np.arange(src.shape[0]) + np.repeat(first - (np.cumsum(size) - size), size)
     keys = src_parent.astype(np.int64)[src] * width + h_ids[entry]
     # a stable sort puts each key's first proposal first
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     heads = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    first = order[heads]
     contrib = src_mass[src] + log_ps[entry]
-    return sorted_keys[heads], src[first], entry[first], np.maximum.reduceat(contrib[order], heads)
+    return sorted_keys[heads], src[order[heads]], np.maximum.reduceat(contrib[order], heads)
 
 
 def extend_homophones(
     hyps: BeamExpansion,
     frame: np.ndarray,
-    index: HomophoneIndex,
+    index: HomophoneIndex | None,
     vocab: Vocabulary,
     config: DecoderConfig,
     lm: NGramModel | None = None,
     step: int = 0,
     audit: list[HEInjection] | None = None,
 ) -> list[BeamHypothesis]:
-    """Inject homophone siblings for this step's character extensions.
+    """Inject homophone siblings into this step's expansion and prune it.
 
-    For every prefix extended by character c this step and every
-    homophone h of c present in the vocabulary, a sibling hypothesis
-    replaces c with h; its non-blank mass uses the adjusted probability
-    from homophone_adjusted_prob and its LM increment is recomputed for
-    h.  Injected and organic hypotheses then compete in one prune.
-    hyps is the BeamExpansion of ctc_step(prune=False) with the same lm.
+    hyps is the BeamExpansion that ctc_step built with the same lm.  For
+    every prefix extended by character c this step and every homophone h
+    of c present in the vocabulary, a sibling hypothesis replaces c with
+    h; its non-blank mass uses the adjusted probability from
+    homophone_adjusted_prob and its LM increment is recomputed for h.
+    Injected and organic hypotheses then compete in one prune, which
+    returns the beam_size best prefixes, best first.  With homophone
+    extension off, or no index, nothing is injected and the expansion is
+    pruned alone.
 
     The adjusted probabilities depend only on the frame and the source
     character, so each distinct source gets one injection table per
@@ -469,7 +440,7 @@ def extend_homophones(
     least the beam_size-th best fused score become BeamHypothesis objects.
     """
     exp = hyps  # named hyps, as before, for callers that pass it by keyword
-    if not config.he_enabled:
+    if not config.he_enabled or index is None:
         return _select(exp, exp.fresh_cells(), vocab, config)
     lp = np.asarray(frame)
     width = exp.tokens.shape[0]
@@ -479,36 +450,36 @@ def extend_homophones(
         order = 2 * src + 1
         order[np.searchsorted(src, list(exp.moved))] = list(exp.moved.values())
         src = src[np.argsort(order)]
-    table_of = np.full(width, -1, dtype=np.intp)  # column -> table number
-    # per table: start in entries (every table, concatenated), size, audit records
-    table_start, table_size, table_records, entries = [], [], [], []
+    # every live column's injection table and audit records, concatenated in column order
+    size = np.zeros(width, dtype=np.intp)
+    entries: list[tuple[int, float]] = []
+    records: list[HEInjection] = []
     for k in np.flatnonzero(live.any(axis=0)).tolist():
-        table, records = _injection_table(int(exp.tokens[k]), lp, index, vocab, config, lm, step)
-        if table:
-            table_of[k] = len(table_start)
-            table_start.append(len(entries))
-            table_size.append(len(table))
-            table_records.append(records)
-            entries.extend(table)
-    src_table = table_of[src % max(width, 1)]
-    src, src_table = src[src_table >= 0], src_table[src_table >= 0]
+        table, table_records = _injection_table(int(exp.tokens[k]), lp, index, vocab, config, step)
+        size[k] = len(table)
+        entries += table
+        records += table_records
+    first = np.cumsum(size) - size
+    src = src[size[src % max(width, 1)] > 0]
+    src_col = src % max(width, 1)
     if not src.shape[0]:
         return _select(exp, exp.fresh_cells(), vocab, config)
     if audit is not None:
-        for t in src_table.tolist():
-            audit.extend(table_records[t])
+        for start, stop in zip(first[src_col].tolist(), (first + size)[src_col].tolist()):
+            audit.extend(records[start:stop])
 
-    size = vocab.size
-    sib_keys, first_src, first_entry, p_nonblank = _merge_siblings(
-        entries, table_start, table_size, src_table, src // width, exp.mass.ravel()[src], size
+    h_ids = np.array([h_idx for h_idx, _ in entries], dtype=np.intp)
+    log_ps = np.array([log_p for _, log_p in entries])
+    sib_keys, first_src, p_nonblank = _merge_siblings(
+        h_ids, log_ps, first[src_col], size[src_col], src // width, exp.mass.ravel()[src], vocab.size
     )
-    sib_row, sib_token = np.divmod(sib_keys, size)
+    sib_row, sib_token = np.divmod(sib_keys, vocab.size)
     # a sibling that is an organic prefix too is merged into it
     col = exp.columns[sib_token]
     hit = (col >= 0) & exp.fresh[sib_row, col]
     row, col, mass = sib_row[hit], col[hit], p_nonblank[hit]
     exp.p_nonblank[row, col] = np.where(mass > exp.p_nonblank[row, col], mass, exp.p_nonblank[row, col])
-    by_key = {exp.rows[p[:-1]] * size + p[-1]: rec for p, rec in exp.stays.items() if p and p[:-1] in exp.rows}
+    by_key = {exp.rows[p[:-1]] * vocab.size + p[-1]: rec for p, rec in exp.stays.items() if p and p[:-1] in exp.rows}
     if by_key:
         on_stay = np.isin(sib_keys, np.fromiter(by_key, dtype=np.int64, count=len(by_key)))
         for key, mass in zip(sib_keys[on_stay].tolist(), p_nonblank[on_stay].tolist()):
@@ -516,13 +487,13 @@ def extend_homophones(
             if mass > rec.p_nonblank:
                 rec.p_nonblank = mass
         hit |= on_stay
-    sib_row, sib_token, first_src, first_entry, p_nonblank = (
-        column[~hit] for column in (sib_row, sib_token, first_src, first_entry, p_nonblank)
+    sib_row, sib_token, first_src, p_nonblank = (
+        column[~hit] for column in (sib_row, sib_token, first_src, p_nonblank)
     )
 
     inc = np.zeros(sib_row.shape[0])
     if exp.lm_rows is not None:
-        sib_pos = np.array([pos for _, pos, _ in entries], dtype=np.intp)[first_entry]
+        sib_pos = lm.row_indices(vocab.tokens)[sib_token]
         for i, lm_row in enumerate(exp.lm_rows):
             at = sib_row == i
             inc[at] = lm_row[sib_pos[at]]
@@ -550,23 +521,17 @@ def decode(
     """
     if emissions.frames == 0:
         raise EmptyEmissions()
-    he_on = config.he_enabled and index is not None
     audit: list[HEInjection] = []
     log_probs = emissions.log_probs
 
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(emissions.frames):
         row = log_probs[t]
-        if he_on:  # each frame's expansion, LM rows included, is dropped before the next is built
-            expanded = ctc_step(beam, row, vocab, config, lm, prune=False)
-            beam = extend_homophones(expanded, row, index, vocab, config, lm, step=t, audit=audit)
-            del expanded
-        else:
-            beam = ctc_step(beam, row, vocab, config, lm, prune=True)
+        # each frame's expansion, LM rows included, is dropped before the next is built
+        beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm, t, audit)
 
-    top = sorted(beam, key=lambda h: (-h.fused_score, h.text(vocab)))[: config.nbest]
     entries: list[NBestEntry] = []
-    for hyp in top:
+    for hyp in beam[: config.nbest]:  # the beam is sorted best first
         transcript = hyp.text(vocab)
         acoustic = hyp.acoustic_score()
         lm_sc = hyp.lm_score

@@ -3,7 +3,8 @@
 Every error raised on malformed input files carries enough context
 (path, line number) for the CLI to print an actionable message and
 exit with status 2.  open_text opens the toolkit's UTF-8 inputs so that
-undecodable bytes raise such an error too.
+undecodable bytes raise such an error too, and check_types holds the
+settings classes to the value types of their fields.
 """
 
 from __future__ import annotations
@@ -52,6 +53,18 @@ def open_text(path: str):
             yield fh
         except UnicodeDecodeError:
             raise _undecodable(path) from None
+
+
+def check_types(config, kinds: tuple[type, ...], *names: str) -> None:
+    """Raise TypeError naming the first field of config, among names,
+    whose value is no instance of kinds, so that a wrong JSON type in a
+    config file is refused at load.  A bool passes only where kinds
+    holds bool, although Python counts it as an int."""
+    for name in names:
+        value = getattr(config, name)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            wanted = " or ".join("null" if kind is type(None) else kind.__name__ for kind in kinds)
+            raise TypeError(f"{name} must be {wanted}, got {value!r}")
 
 
 class InvalidTone(FormatError):

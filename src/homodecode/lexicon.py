@@ -50,12 +50,6 @@ class Lexicon:
     def size(self) -> int:
         return len(self.entries)
 
-    def characters(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for char, _ in self.entries:
-            seen.setdefault(char)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class HomophoneIndex:

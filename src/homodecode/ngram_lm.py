@@ -14,9 +14,7 @@ shortest suffix first.  The vectors it needs (unigram scores, and the
 successors of every context as flat position/score arrays) are built on
 the first row query and cached on the model, so loading stays a plain
 parse, as are the row positions of the last vocabulary that row_indices
-mapped.  Queries are otherwise read-only and safe to run concurrently;
-concurrent queries may each build a cached value, and all builds are
-equal.
+mapped.
 """
 
 from __future__ import annotations
@@ -85,7 +83,6 @@ class NGramModel:
     order: int
     probs: dict[tuple[str, ...], float]
     backoffs: dict[tuple[str, ...], float]
-    counts: dict[int, int] = field(default_factory=dict)
     start: str = SENTENCE_START
     end: str = SENTENCE_END
     unk: str = UNKNOWN
@@ -95,6 +92,16 @@ class NGramModel:
     def normalize_token(self, token: str) -> str:
         """Map tokens absent from the unigram table to the unknown symbol."""
         return token if (token,) in self.probs else self.unk
+
+    def context(self, history: list[str]) -> tuple[str, ...]:
+        """The context that scores the token following history: a
+        sentence-start symbol, then history's tokens mapped by
+        normalize_token, truncated to the last order-1."""
+        span = self.order - 1
+        if span <= 0:
+            return ()
+        effective = [self.start] + [self.normalize_token(t) for t in history[-span:]]
+        return tuple(effective[-span:])
 
     def conditional_logprob(self, context: tuple[str, ...], token: str) -> float:
         """log10 P(token | context) with standard back-off recursion.
@@ -267,7 +274,7 @@ def load_arpa(path: str) -> NGramModel:
             raise CountMismatch(order_n, 0, count, path)
     orders = [n for n, c in declared.items() if c > 0]
     order = max(orders) if orders else 1
-    return NGramModel(order=order, probs=probs, backoffs=backoffs, counts=dict(declared))
+    return NGramModel(order=order, probs=probs, backoffs=backoffs)
 
 
 def score_sequence(model: NGramModel, tokens: list[str]) -> float:
@@ -290,10 +297,4 @@ def score_increment(model: NGramModel, context: list[str], next_token: str) -> f
 
     Equals score_sequence(context + [next]) - score_sequence(context).
     """
-    span = model.order - 1
-    if span <= 0:
-        ctx: tuple[str, ...] = ()
-    else:
-        effective = [model.start] + [model.normalize_token(t) for t in context]
-        ctx = tuple(effective[-span:])
-    return model.conditional_logprob(ctx, model.normalize_token(next_token))
+    return model.conditional_logprob(model.context(context), model.normalize_token(next_token))

@@ -22,6 +22,7 @@ from .errors import (
     MalformedLine,
     MissingEmbedding,
     ZeroVector,
+    check_types,
     open_text,
 )
 from .lexicon import GlyphCodeTable, Lexicon, build_homophone_index
@@ -39,7 +40,10 @@ class UWConfig:
     min_methods: int | None = None
 
     def __post_init__(self):
-        for name in ("jyutping_max_distance", "glyph_max_distance", "cosine_min", "checker_min"):
+        thresholds = ("jyutping_max_distance", "glyph_max_distance", "cosine_min", "checker_min")
+        check_types(self, (float, int), *thresholds)
+        check_types(self, (int, type(None)), "min_methods")
+        for name in thresholds:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         for name in ("jyutping_max_distance", "glyph_max_distance"):

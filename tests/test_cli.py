@@ -527,6 +527,37 @@ def test_compare_unknown_config_key_exit_2(compare_world, tmp_path, capsys):
     assert "'lexcon'" in err
 
 
+@pytest.mark.parametrize("key, value, message", [
+    # paths: an int or a bool would be taken as a file descriptor
+    ("vocab", 0, "vocab must be str, got 0"),
+    ("lexicon", True, "lexicon must be str or null, got True"),
+    ("output_dir", 5, "output_dir must be str, got 5"),
+    # integer settings
+    ("decoder", {"beam_size": 2.5}, "beam_size must be int, got 2.5"),
+    ("uw", {"min_methods": True}, "min_methods must be int or null, got True"),
+    # flags: bool("false") is true
+    ("uw_on_references", "false", "uw_on_references must be bool, got 'false'"),
+    ("decoder", {"he_enabled": 1}, "he_enabled must be bool, got 1"),
+    ("variants", "lm", "variants must be a list of str, got 'lm'"),
+], ids=["vocab", "lexicon", "output_dir", "beam_size", "min_methods", "uw_on_references", "he_enabled", "variants"])
+def test_compare_wrong_config_value_type_exit_2(compare_world, tmp_path, capsys, key, value, message):
+    obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
+    obj[key] = value
+    config = tmp_path / "typed.json"
+    config.write_text(json.dumps(obj), encoding="utf-8")
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+    assert code == 2
+    assert f"{config}: bad config: {message}" in capsys.readouterr().err
+
+
+def test_compare_config_not_an_object_exit_2(compare_world, tmp_path, capsys):
+    config = tmp_path / "list.json"
+    config.write_text("[]", encoding="utf-8")
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+    assert code == 2
+    assert f"{config}: bad config: expected a JSON object, got list" in capsys.readouterr().err
+
+
 def test_compare_empty_manifest_exit_2(compare_world, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")

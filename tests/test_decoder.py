@@ -127,7 +127,7 @@ def test_step_blank_only_frame():
     start = [BeamHypothesis((), 0.0, NEG_INF)]
     row = np.log(np.array([1.0, 1e-300]))  # effectively all mass on blank
     row[1] = NEG_INF
-    out = ctc_step(start, row, vocab, config)
+    out = extend_homophones(ctc_step(start, row, vocab, config), row, None, vocab, config)
     assert [h.prefix for h in out] == [()]
     assert out[0].p_blank == pytest.approx(0.0)
     assert out[0].p_nonblank == NEG_INF
@@ -138,7 +138,7 @@ def test_step_uniform_two_way_branch():
     config = oracle_config()
     start = [BeamHypothesis((), 0.0, NEG_INF)]
     row = np.log(np.array([0.5, 0.5]))
-    out = ctc_step(start, row, vocab, config)
+    out = extend_homophones(ctc_step(start, row, vocab, config), row, None, vocab, config)
     assert sorted(h.text(vocab) for h in out) == ["", "A"]
 
 
@@ -283,7 +283,7 @@ def test_two_step_he_hand_computation(tmp_path):
     audit = []
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(2):
-        expanded = ctc_step(beam, rows[t], vocab, config, None, prune=False)
+        expanded = ctc_step(beam, rows[t], vocab, config, None)
         beam = extend_homophones(expanded, rows[t], index, vocab, config, None,
                                  step=t, audit=audit)
     got = {h.text(vocab): (math.exp(h.p_blank), math.exp(h.p_nonblank)) for h in beam}
@@ -317,8 +317,9 @@ def test_he_disabled_matches_step_output(zo2_setup):
                            nbest=5, rescore_enabled=False)
     row = np.log(np.array([0.2, 0.5, 0.3]))
     start = [BeamHypothesis((), 0.0, NEG_INF)]
-    stepped = ctc_step(start, row, vocab, config, lm, prune=True)
-    expanded = ctc_step(start, row, vocab, config, lm, prune=False)
+    stepped = extend_homophones(ctc_step(start, row, vocab, config, lm), row, None, vocab,
+                                replace(config, he_enabled=True), lm)
+    expanded = ctc_step(start, row, vocab, config, lm)
     merged = extend_homophones(expanded, row, index, vocab, config, lm)
     assert [(h.prefix, h.p_blank, h.p_nonblank, h.fused_score) for h in stepped] == [
         (h.prefix, h.p_blank, h.p_nonblank, h.fused_score) for h in merged
@@ -353,7 +354,8 @@ def test_he_off_bit_identical_to_plain_decoder(tmp_path):
 
         beam = [BeamHypothesis((), 0.0, NEG_INF)]
         for t in range(frames):
-            beam = ctc_step(beam, log_rows[t], vocab, config, lm, prune=True)
+            beam = extend_homophones(ctc_step(beam, log_rows[t], vocab, config, lm), log_rows[t], None,
+                                     vocab, config, lm)
         got = {h.prefix: (h.p_blank, h.p_nonblank, h.lm_score, h.fused_score) for h in beam}
 
         reference = plain_prefix_beam_decode(
@@ -421,7 +423,7 @@ def test_injected_sibling_lm_when_extension_merges_into_survivor(tmp_path):
                               lm_score=lm_a + score_increment(lm, ["左"], "阻"))
     parent = BeamHypothesis((1,), math.log(0.3), math.log(0.1), lm_score=lm_a)
     row = np.log(np.array([0.2, 0.3, 0.5]))
-    expanded = ctc_step([survivor, parent], row, vocab, config, lm, prune=False)
+    expanded = ctc_step([survivor, parent], row, vocab, config, lm)
     ext_row, ext_col = expanded.cell((1, 2))
     assert expanded.tokens[ext_col] == 2
     assert expanded.inc[ext_row, ext_col] == score_increment(lm, ["左"], "阻")
@@ -635,10 +637,10 @@ def _beam_order_collisions(matrix, vocab, index, lm, config):
             if prefix and prefix[:-1] in rank:
                 counts[n > rank[prefix[:-1]]] += 1
         if config.he_enabled:
-            expanded = ctc_step(beam, row, vocab, config, lm, prune=False)
+            expanded = ctc_step(beam, row, vocab, config, lm)
             beam = extend_homophones(expanded, row, index, vocab, config, lm, step=t)
         else:
-            beam = ctc_step(beam, row, vocab, config, lm)
+            beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, None, vocab, config, lm)
     return counts
 
 
@@ -698,8 +700,10 @@ def test_collision_record_takes_lm_score_of_first_creator_in_beam_order(tmp_path
     child = BeamHypothesis((1, 2), math.log(0.2), math.log(0.1), lm_score=-3.0)
     parent = BeamHypothesis((1,), math.log(0.3), math.log(0.1), lm_score=lm_a)
     row = np.log(np.array([0.2, 0.3, 0.5]))
-    child_first = {h.prefix: h for h in ctc_step([child, parent], row, vocab, config, lm)}[(1, 2)]
-    parent_first = {h.prefix: h for h in ctc_step([parent, child], row, vocab, config, lm)}[(1, 2)]
+    child_first = {h.prefix: h for h in extend_homophones(
+        ctc_step([child, parent], row, vocab, config, lm), row, None, vocab, config, lm)}[(1, 2)]
+    parent_first = {h.prefix: h for h in extend_homophones(
+        ctc_step([parent, child], row, vocab, config, lm), row, None, vocab, config, lm)}[(1, 2)]
     assert child_first.lm_score == -3.0
     assert parent_first.lm_score == lm_a + score_increment(lm, ["左"], "阻")
     for rec in (child_first, parent_first):

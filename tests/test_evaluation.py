@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +200,48 @@ def test_uw_variant_rewrites_hypotheses(small_world, tmp_path):
     results = {r.variant: r for r in run_comparison(manifest, assets, ("lm", "lm_uw"))}
     assert results["lm"].report.aggregate_cer > 0.0
     assert results["lm_uw"].report.aggregate_cer == 0.0
+
+
+def test_uw_on_references_scores_against_the_canonical_form(small_world):
+    import math
+
+    import numpy as np
+
+    from homodecode.unified_writing import EmbeddingTable
+
+    vocab, index, lm, manifest = small_world
+    # u1 decodes to 左面 and its reference now holds 左 too, the rare
+    # written form of the pair 左/阻
+    manifest = [ManifestEntry("u1", manifest[0].emissions_path, "左面"), manifest[1]]
+    emb = EmbeddingTable(
+        2,
+        {"左": np.array([0.97, math.sqrt(1 - 0.97**2)]), "阻": np.array([1.0, 0.0]), "面": np.array([0.0, 1.0])},
+    )
+    assets = ComparisonAssets(
+        vocab=vocab,
+        index=index,
+        lm=lm,
+        decoder_config=DecoderConfig(alpha=0.0, rescore_enabled=False),
+        uw_pairs=[UnifiedPair("左", "阻", 0.0, (("m", 0.25),), 0.95)],
+        uw_freq=FrequencyTable({"阻": 10, "左": 1}),
+        uw_emb=emb,
+        uw_config=UWConfig(),
+    )
+    variants = ("lm", "lm_uw")
+    raw = {r.variant: r.report for r in run_comparison(manifest, assets, variants)}
+    on = replace(assets, uw_on_references=True)
+    unified = {r.variant: r.report for r in run_comparison(manifest, on, variants)}
+    for variant in variants:
+        assert [u.reference for u in raw[variant].per_utterance] == ["左面", "面"]
+        assert [u.reference for u in unified[variant].per_utterance] == ["阻面", "面"]
+        # the option rewrites references only, never hypotheses
+        assert [u.hypothesis for u in unified[variant].per_utterance] == [
+            u.hypothesis for u in raw[variant].per_utterance
+        ]
+    assert [u.hypothesis for u in raw["lm"].per_utterance] == ["左面", "面"]
+    assert [u.hypothesis for u in raw["lm_uw"].per_utterance] == ["阻面", "面"]
+    assert (raw["lm"].total_edits, raw["lm_uw"].total_edits) == (0, 1)
+    assert (unified["lm"].total_edits, unified["lm_uw"].total_edits) == (1, 0)
 
 
 def test_run_comparison_repeats_exactly(small_world):

@@ -138,6 +138,20 @@ def test_incremental_consistency(tmp_path):
         assert inc == pytest.approx(full, abs=1e-9)
 
 
+def test_context_is_the_normalised_tail_after_the_start_symbol(tmp_path):
+    tokens = {"a": (-1.0, -0.2), "b": (-0.5, -0.1)}
+    trigram = load_arpa(write_arpa(tmp_path / "lm3.arpa", tokens, {("a", "b"): -0.3}, {("a", "b", "a"): -0.1}))
+    assert trigram.context([]) == ("<s>",)
+    assert trigram.context(["a"]) == ("<s>", "a")
+    assert trigram.context(["b", "zz", "a"]) == ("<unk>", "a")
+    assert load_arpa(write_arpa(tmp_path / "lm1.arpa", tokens)).context(["a", "b"]) == ()
+    # the decoder passes only a prefix's last order tokens
+    rng = random.Random(11)
+    for _ in range(200):
+        history = [rng.choice(["a", "b", "zz"]) for _ in range(rng.randint(0, 6))]
+        assert trigram.context(history[-trigram.order :]) == trigram.context(history)
+
+
 def test_logprob_row_equals_conditional_logprob(tmp_path):
     rng = random.Random(4242)
     tokens = [f"w{i}" for i in range(7)]
