@@ -57,7 +57,7 @@ class ToolConfig:
     output_dir: str = "."
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     uw: UWConfig = field(default_factory=UWConfig)
-    variants: tuple[str, ...] = VARIANTS
+    variants: tuple[str, ...] = tuple(VARIANTS)
     uw_on_references: bool = False
 
     def __post_init__(self):
@@ -76,7 +76,7 @@ class ToolConfig:
             raise FormatError(f"{path}: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: bad config: expected a JSON object, got {type(obj).__name__}")
-        variants = obj.get("variants", VARIANTS)
+        variants = obj.get("variants", tuple(VARIANTS))
         try:
             # a key that is no field (a misspelt "lexcon") is a TypeError naming it,
             # and so is a value of the wrong JSON type
@@ -173,22 +173,14 @@ def cmd_compare(args) -> int:
         if variant not in VARIANTS:
             raise FormatError(f"unknown variant {variant!r}; pick from {', '.join(VARIANTS)}")
 
-    uw_needed = any(v.endswith("uw") for v in variants) or config.uw_on_references
     uw_pairs = uw_freq = uw_emb = None
-    if uw_needed:
-        if not (config.pairs and config.embeddings):
-            raise FormatError("UW variants need 'pairs' and 'embeddings' in the config")
+    if any(VARIANTS[v].uw for v in variants) or config.uw_on_references:
+        for key in ("pairs", "embeddings", "frequency"):
+            if not getattr(config, key):
+                raise FormatError(f"{args.config}: UW needs {key!r} in the config")
         uw_pairs = load_pairs(config.pairs)
         uw_emb = load_embeddings(config.embeddings)
-        if config.frequency:
-            uw_freq = load_frequency_table(config.frequency)
-        else:
-            print(
-                "warning: the config names no 'frequency' file, so UW pairs are oriented "
-                "by character counts of the reference transcripts",
-                file=sys.stderr,
-            )
-            uw_freq = count_frequencies([entry.reference for entry in manifest])
+        uw_freq = load_frequency_table(config.frequency)
 
     assets = ComparisonAssets(
         vocab=vocab,

@@ -81,8 +81,9 @@ def load_vocab(path: str) -> Vocabulary:
     if not lines or not lines[0].startswith("#blank"):
         raise MissingBlankDirective(path)
     fields = lines[0].split()
-    if len(fields) != 2 or not fields[1].isdigit():
-        raise MissingBlankDirective(path)
+    # isdecimal, not isdigit: int() refuses digits such as "²"
+    if len(fields) != 2 or not fields[1].isdecimal():
+        raise MalformedLine(1, "expected '#blank <index>'", path)
     blank_index = int(fields[1])
     tokens: list[str] = []
     seen: set[str] = set()

@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, replace
 
-from .decoder import DecodeResult, DecoderConfig, decode
+from .decoder import DecoderConfig, decode
 from .emissions import Vocabulary, load_emissions
-from .errors import EmptyReference, HomodecodeError, MalformedLine, open_text
+from .errors import EmptyReference, HomodecodeError, MalformedLine, check_types, open_text
 from .lexicon import HomophoneIndex
 from .ngram_lm import NGramModel
 from .unified_writing import (
@@ -25,7 +25,21 @@ from .unified_writing import (
     character_edit_distance,
 )
 
-VARIANTS = ("baseline", "lm", "lm_he", "lm_uw", "lm_he_uw")
+
+@dataclass(frozen=True)
+class Variant:
+    overrides: dict  # the DecoderConfig fields the variant sets
+    uw: bool = False  # whether UW rewrites its 1-bests before they are scored
+
+
+# the ladder in report order; variants with equal overrides share one decode
+VARIANTS = {
+    "baseline": Variant({"alpha": 0.0, "beta": 0.0, "he_enabled": False, "rescore_enabled": False}),
+    "lm": Variant({"he_enabled": False}),
+    "lm_he": Variant({"he_enabled": True}),
+    "lm_uw": Variant({"he_enabled": False}, uw=True),
+    "lm_he_uw": Variant({"he_enabled": True}, uw=True),
+}
 
 
 class UtteranceError(HomodecodeError):
@@ -78,6 +92,9 @@ class ManifestEntry:
     emissions_path: str
     reference: str
 
+    def __post_init__(self):
+        check_types(self, (str,), "emissions_path", "reference")
+
 
 def load_manifest(path: str) -> list[ManifestEntry]:
     """JSON-lines manifest: {"id": ..., "emissions_path": ..., "reference": ...}."""
@@ -122,13 +139,9 @@ class VariantResult:
 
 def variant_config(base: DecoderConfig, variant: str) -> DecoderConfig:
     """Derive per-variant decoder settings from the configured defaults."""
-    if variant == "baseline":
-        return replace(base, alpha=0.0, beta=0.0, he_enabled=False, rescore_enabled=False)
-    if variant in ("lm", "lm_uw"):
-        return replace(base, he_enabled=False)
-    if variant in ("lm_he", "lm_he_uw"):
-        return replace(base, he_enabled=True)
-    raise ValueError(f"unknown variant {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return replace(base, **VARIANTS[variant].overrides)
 
 
 def _rewrite(texts: list[str], assets: ComparisonAssets) -> list[str]:
@@ -143,16 +156,15 @@ def _rewrite(texts: list[str], assets: ComparisonAssets) -> list[str]:
 def run_comparison(
     manifest: list[ManifestEntry],
     assets: ComparisonAssets,
-    variants: tuple[str, ...] = VARIANTS,
+    variants: tuple[str, ...] = tuple(VARIANTS),
 ) -> list[VariantResult]:
     """Decode every utterance under every variant and tabulate CER.
 
     Each distinct decoder config is decoded once: variants that only add
-    UW rewriting reuse the 1-best of the variant they extend.  Utterances
-    decode one after another in manifest order.
+    UW rewriting reuse the 1-bests and HE counts of the variant they
+    extend.  Utterances decode one after another in manifest order.
     """
-    for variant in variants:
-        variant_config(assets.decoder_config, variant)  # validate names upfront
+    configs = [variant_config(assets.decoder_config, variant) for variant in variants]  # names checked upfront
 
     def load_one(entry: ManifestEntry):
         try:
@@ -166,33 +178,30 @@ def run_comparison(
     if assets.uw_on_references:
         references = _rewrite(references, assets)
 
-    def decode_all(config: DecoderConfig) -> list[DecodeResult]:
-        results = []
+    def decode_all(config: DecoderConfig) -> tuple[list[str], int, int]:
+        """Every 1-best, with the config's he_injections and he_in_best
+        counts; each DecodeResult and its audit is dropped once counted."""
+        bests, injections, in_best = [], 0, 0
         for entry, matrix in zip(manifest, matrices):
             try:
-                results.append(decode(matrix, assets.vocab, assets.index, assets.lm, config))
+                result = decode(matrix, assets.vocab, assets.index, assets.lm, config)
             except Exception as exc:
                 raise UtteranceError(entry.utt_id, str(exc)) from exc
-        return results
+            best = result.best  # a property: read once, not once per audit record
+            bests.append(best)
+            injections += len(result.he_injections)
+            in_best += sum(1 for rec in result.he_injections if rec.injected in best)
+            del result
+        return bests, injections, in_best
 
-    # variants differing only in UW post-processing share one decode
-    decoded_by_config: dict[tuple, list[DecodeResult]] = {}
+    decoded_by_config: dict[tuple, tuple[list[str], int, int]] = {}
     results: list[VariantResult] = []
-    for variant in variants:
-        config = variant_config(assets.decoder_config, variant)
+    for variant, config in zip(variants, configs):
         key = astuple(config)
-        decoded = decoded_by_config.get(key)
-        if decoded is None:
-            decoded = decoded_by_config[key] = decode_all(config)
-
-        bests = [result.best for result in decoded]
-        hyps = _rewrite(bests, assets) if variant in ("lm_uw", "lm_he_uw") else bests
-
-        injections = sum(len(result.he_injections) for result in decoded)
-        in_best = sum(
-            sum(1 for rec in result.he_injections if rec.injected in best)
-            for result, best in zip(decoded, bests)
-        )
+        if key not in decoded_by_config:
+            decoded_by_config[key] = decode_all(config)
+        bests, injections, in_best = decoded_by_config[key]
+        hyps = _rewrite(bests, assets) if VARIANTS[variant].uw else bests
         report = evaluate(
             [(entry.utt_id, ref, hyp) for entry, ref, hyp in zip(manifest, references, hyps)]
         )

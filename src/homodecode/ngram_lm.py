@@ -283,12 +283,9 @@ def score_sequence(model: NGramModel, tokens: list[str]) -> float:
     A sentence-start context is prepended; the start symbol itself is
     not scored.  Unknown tokens back off to the unknown-symbol unigram.
     """
-    effective = [model.start] + [model.normalize_token(t) for t in tokens]
-    span = model.order - 1
     total = 0.0
-    for i in range(1, len(effective)):
-        ctx = tuple(effective[max(0, i - span) : i]) if span > 0 else ()
-        total += model.conditional_logprob(ctx, effective[i])
+    for i, token in enumerate(tokens):
+        total += model.conditional_logprob(model.context(tokens[:i]), model.normalize_token(token))
     return total
 
 

@@ -141,7 +141,7 @@ def load_embeddings(path: str) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     with open_text(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2 or not all(f.isdigit() for f in header):
+        if len(header) != 2 or not all(f.isdecimal() for f in header):
             raise MalformedLine(1, "expected '<count> <dim>' header", path)
         count, dim = int(header[0]), int(header[1])
         for line_no, raw in enumerate(fh, start=2):
@@ -176,7 +176,7 @@ def load_frequency_table(path: str) -> FrequencyTable:
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 2 or not fields[1].isdigit():
+            if len(fields) != 2 or not fields[1].isdecimal():
                 raise MalformedLine(line_no, "expected '<char>\\t<count>'", path)
             counts[fields[0]] = int(fields[1])
     return FrequencyTable(counts)

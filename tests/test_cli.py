@@ -389,6 +389,8 @@ def compare_world(tmp_path, uw_world, capsys):
                              "reference": "面"}, ensure_ascii=False) + "\n")
         fh.write(json.dumps({"id": "u2", "emissions_path": emissions_for([4, 3], "u2.emat"),
                              "reference": "裏面"}, ensure_ascii=False) + "\n")
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("面\t2\n裏\t1\n", encoding="utf-8")
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps(
@@ -398,6 +400,7 @@ def compare_world(tmp_path, uw_world, capsys):
                 "lm": lm,
                 "embeddings": uw_world["embeddings"],
                 "pairs": str(pairs),
+                "frequency": str(freq),
                 "output_dir": str(tmp_path / "out"),
             }
         ),
@@ -421,29 +424,21 @@ def test_compare_five_variant_ladder(compare_world, capsys):
         assert (out_dir / f"report_{variant}.tsv").exists()
 
 
-def test_compare_warns_when_references_orient_uw_pairs(compare_world, capsys):
-    args = ["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"]]
-    out_dir = compare_world["dir"] / "out"
-    assert main(args) == 0
-    counted = capsys.readouterr()
-    assert counted.err.count("\n") == 1
-    assert "warning:" in counted.err and "reference transcripts" in counted.err
-    files = {path.name: path.read_bytes() for path in out_dir.iterdir()}
-    assert counted.out.encode("utf-8") == files["comparison.tsv"]
-
-    # a frequency file with the references' own counts orients the pairs the
-    # same way: no warning, and the same stdout and output files
-    freq = compare_world["dir"] / "freq.tsv"
-    freq.write_text("面\t2\n裏\t1\n", encoding="utf-8")
+@pytest.mark.parametrize("key", ["pairs", "embeddings", "frequency"])
+@pytest.mark.parametrize("variants, on_references", [(None, False), ("lm_uw", False), ("lm", True)])
+def test_compare_uw_without_its_files_exit_2(compare_world, tmp_path, capsys, key, variants, on_references):
+    # UW pairs are oriented by the frequency file alone, never by counts of
+    # the reference transcripts, so a config without one is refused
     config = json.loads(open(compare_world["config"], encoding="utf-8").read())
-    config["frequency"] = str(freq)
-    with_freq = compare_world["dir"] / "config_freq.json"
-    with_freq.write_text(json.dumps(config), encoding="utf-8")
-    assert main(["compare", "--manifest", compare_world["manifest"], "--config", str(with_freq)]) == 0
-    given = capsys.readouterr()
-    assert given.err == ""
-    assert given.out == counted.out
-    assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == files
+    del config[key]
+    config["uw_on_references"] = on_references
+    bad = tmp_path / "no_file.json"
+    bad.write_text(json.dumps(config), encoding="utf-8")
+    args = ["compare", "--manifest", compare_world["manifest"], "--config", str(bad)]
+    assert main(args + (["--variants", variants] if variants else [])) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(key) in err
+    assert not (compare_world["dir"] / "out").exists()
 
 
 def test_compare_byte_identical_reruns(compare_world, capsys):
@@ -481,16 +476,6 @@ def test_compare_unknown_variant_exit_2(compare_world, capsys):
                  "--variants", "baseline,nope"])
     assert code == 2
     assert "nope" in capsys.readouterr().err
-
-
-def test_compare_honors_thread_env(compare_world, capsys, monkeypatch):
-    args = ["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"]]
-    main(args)
-    serial_out = capsys.readouterr().out
-    monkeypatch.setenv("HOMODECODE_THREADS", "3")
-    main(args)
-    threaded_out = capsys.readouterr().out
-    assert serial_out == threaded_out
 
 
 def test_compare_non_utf8_config_exit_2(compare_world, tmp_path, capsys):

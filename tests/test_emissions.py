@@ -14,6 +14,7 @@ from homodecode.emissions import (
 from homodecode.errors import (
     BadMagic,
     DuplicateToken,
+    MalformedLine,
     MissingBlankDirective,
     RowNotNormalized,
     VocabSizeMismatch,
@@ -48,6 +49,15 @@ def test_vocab_missing_blank_directive(tmp_path):
     path.write_text("<b>\n左\n", encoding="utf-8")
     with pytest.raises(MissingBlankDirective):
         load_vocab(str(path))
+
+
+def test_vocab_superscript_blank_index(tmp_path):
+    # "²" is a digit to str.isdigit but no number to int()
+    path = tmp_path / "vocab.txt"
+    path.write_text("#blank ²\n<b>\n左\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_vocab(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
 
 
 def test_vocab_round_trip(tmp_path):

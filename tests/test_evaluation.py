@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -99,6 +100,20 @@ def test_manifest_bad_line(tmp_path):
     with pytest.raises(MalformedLine) as exc:
         load_manifest(str(path))
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("key, value", [("emissions_path", 0), ("emissions_path", None), ("reference", 5),
+                                        ("reference", ["面"])])
+def test_manifest_wrong_value_type(tmp_path, key, value):
+    # an int path would open that file descriptor: 0 reads stdin
+    path = tmp_path / "manifest.jsonl"
+    entry = {"id": "u1", "emissions_path": "a.emat", "reference": "面", key: value}
+    path.write_text('{"id": "u0", "emissions_path": "a.emat", "reference": "裏"}\n' + json.dumps(entry) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_manifest(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 2)
+    assert key in str(exc.value)
 
 
 def test_manifest_empty(tmp_path):
@@ -277,3 +292,30 @@ def test_uw_variants_reuse_the_decode_of_their_base(small_world, monkeypatch):
     for base, with_uw in (("lm", "lm_uw"), ("lm_he", "lm_he_uw")):
         assert reused[with_uw].he_injections == reused[base].he_injections
         assert reused[with_uw].he_in_best == reused[base].he_in_best
+
+
+def test_run_comparison_drops_each_decode_once_counted(small_world, monkeypatch):
+    import gc
+    import weakref
+
+    from homodecode import evaluation
+
+    vocab, index, lm, manifest = small_world
+    assets = ComparisonAssets(vocab=vocab, index=index, lm=lm, decoder_config=DecoderConfig())
+    made = []
+    real_decode = evaluation.decode
+
+    def tracking_decode(matrix, vocab, index, lm, config):
+        gc.collect()
+        # the DecodeResult of the utterance before, and its audit, are gone
+        assert all(ref() is None for ref in made)
+        result = real_decode(matrix, vocab, index, lm, config)
+        made.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(evaluation, "decode", tracking_decode)
+    results = {r.variant: r for r in run_comparison(manifest, assets, ("lm", "lm_he", "lm_he_uw"))}
+    assert len(made) == 2 * len(manifest)
+    assert results["lm_he"].he_injections > 0
+    assert (results["lm_he_uw"].he_injections, results["lm_he_uw"].he_in_best) == (
+        results["lm_he"].he_injections, results["lm_he"].he_in_best)

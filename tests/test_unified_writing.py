@@ -134,12 +134,29 @@ def test_load_embeddings_count_mismatch(tmp_path):
         load_embeddings(str(path))
 
 
+def test_load_embeddings_superscript_header_digit(tmp_path):
+    # "²" is a digit to str.isdigit but no number to int()
+    path = tmp_path / "emb.vec"
+    path.write_text("1 ²\n左 1.0 0.0\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_embeddings(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
+
+
 def test_frequency_table_round_trip(tmp_path):
     path = tmp_path / "freq.tsv"
     path.write_text("裏\t10\n裡\t2\n", encoding="utf-8")
     freq = load_frequency_table(str(path))
     assert freq.count("裏") == 10
     assert freq.count("missing") == 0
+
+
+def test_frequency_table_superscript_count(tmp_path):
+    path = tmp_path / "freq.tsv"
+    path.write_text("裏\t10\na\t²\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_frequency_table(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 2)
 
 
 def test_count_frequencies():
