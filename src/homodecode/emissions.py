@@ -20,6 +20,7 @@ from .errors import (
     RowNotNormalized,
     VocabSizeMismatch,
     open_text,
+    parse_count,
 )
 
 EMAT_MAGIC = b"EMAT"
@@ -78,13 +79,13 @@ def load_vocab(path: str) -> Vocabulary:
     with open_text(path) as fh:
         text = fh.read()
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#blank"):
+    fields = lines[0].split() if lines else []
+    if not fields or fields[0] != "#blank":
         raise MissingBlankDirective(path)
-    fields = lines[0].split()
-    # isdecimal, not isdigit: int() refuses digits such as "²"
-    if len(fields) != 2 or not fields[1].isdecimal():
-        raise MalformedLine(1, "expected '#blank <index>'", path)
-    blank_index = int(fields[1])
+    expected = "expected '#blank <index>'"
+    if len(fields) != 2:
+        raise MalformedLine(1, expected, path)
+    blank_index = parse_count(fields[1], 1, expected, path)
     tokens: list[str] = []
     seen: set[str] = set()
     for line_no, token in enumerate(lines[1:], start=2):

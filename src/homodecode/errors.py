@@ -3,8 +3,9 @@
 Every error raised on malformed input files carries enough context
 (path, line number) for the CLI to print an actionable message and
 exit with status 2.  open_text opens the toolkit's UTF-8 inputs so that
-undecodable bytes raise such an error too, and check_types holds the
-settings classes to the value types of their fields.
+undecodable bytes raise such an error too, parse_count reads the counts
+and indices of text inputs, and check_types holds the settings classes
+to the value types of their fields.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ class MalformedLine(FormatError):
         self.path = path
         where = f"{path}:{line_no}" if path else f"line {line_no}"
         super().__init__(f"{where}: {message}")
+
+
+def parse_count(text: str, line_no: int, message: str, path: str) -> int:
+    """The non-negative decimal integer text spells; anything else,
+    including more digits than int() converts, raises MalformedLine with
+    message at path:line_no.  str.isdecimal, not isdigit: int() refuses
+    digits such as "²"."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            pass
+    raise MalformedLine(line_no, message, path)
 
 
 def _undecodable(path: str) -> MalformedLine:

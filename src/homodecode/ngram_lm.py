@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountMismatch, MalformedLine, MissingSection, open_text
+from .errors import CountMismatch, MalformedLine, MissingSection, open_text, parse_count
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -229,14 +229,16 @@ def load_arpa(path: str) -> NGramModel:
                 continue
             m = _SECTION_RE.match(line)
             if m:
-                section = int(m.group(1))
+                section = parse_count(m.group(1), line_no, f"bad section header {line!r}", path)
                 found.setdefault(section, 0)
                 continue
             if section == 0:
                 m = _NGRAM_DECL_RE.match(line)
+                bad = f"bad \\data\\ entry {line!r}"
                 if not m:
-                    raise MalformedLine(line_no, f"bad \\data\\ entry {line!r}", path)
-                declared[int(m.group(1))] = int(m.group(2))
+                    raise MalformedLine(line_no, bad, path)
+                order_n, count = (parse_count(number, line_no, bad, path) for number in m.groups())
+                declared[order_n] = count
                 continue
             if section is None or section < 0:
                 continue

@@ -24,8 +24,9 @@ from .errors import (
     ZeroVector,
     check_types,
     open_text,
+    parse_count,
 )
-from .lexicon import GlyphCodeTable, Lexicon, build_homophone_index
+from .lexicon import GlyphCodeTable, HomophoneIndex, Lexicon, build_homophone_index
 
 
 @dataclass(frozen=True)
@@ -141,9 +142,10 @@ def load_embeddings(path: str) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     with open_text(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2 or not all(f.isdecimal() for f in header):
-            raise MalformedLine(1, "expected '<count> <dim>' header", path)
-        count, dim = int(header[0]), int(header[1])
+        expected = "expected '<count> <dim>' header"
+        if len(header) != 2:
+            raise MalformedLine(1, expected, path)
+        count, dim = (parse_count(field, 1, expected, path) for field in header)
         for line_no, raw in enumerate(fh, start=2):
             line = raw.rstrip("\n")
             if not line:
@@ -170,15 +172,16 @@ def load_embeddings(path: str) -> EmbeddingTable:
 def load_frequency_table(path: str) -> FrequencyTable:
     """Load "<char>\\t<count>" TSV."""
     counts: dict[str, int] = {}
+    expected = "expected '<char>\\t<count>'"
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
             fields = line.split("\t")
-            if len(fields) != 2 or not fields[1].isdecimal():
-                raise MalformedLine(line_no, "expected '<char>\\t<count>'", path)
-            counts[fields[0]] = int(fields[1])
+            if len(fields) != 2:
+                raise MalformedLine(line_no, expected, path)
+            counts[fields[0]] = parse_count(fields[1], line_no, expected, path)
     return FrequencyTable(counts)
 
 
@@ -235,6 +238,77 @@ def _evaluate_pair(
     )
 
 
+# Pairs scored per array pass, so a pass gathers two (chunk, dim) blocks
+# instead of two rows per candidate at once.
+_PREFILTER_CHUNK = 4096
+# Far above the gap between the array cosine and cosine_similarity's, which
+# is about dim * 2.2e-16 for squared norms within [tiny, 1 / tiny].
+_PREFILTER_MARGIN = 1e-9
+
+
+def _homophone_candidates(index: HomophoneIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The index's characters in code-point order, and each distinct pair
+    sharing a code as positions first < second, in the exhaustive walk's
+    order: by first, then by second."""
+    chars = sorted(index.codes_by_char)
+    row = {char: i for i, char in enumerate(chars)}
+    n = len(chars)
+    # a group lists its characters in code-point order, so the key
+    # row[x] * n + row[y] of each of its pairs has x before y
+    groups = ([row[char] for char in group] for group in index.by_code.values())
+    keys = np.fromiter((i * n + j for group in groups for i, j in combinations(group, 2)), dtype=np.int64)
+    keys.sort()
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # a polyphone pair can share two codes
+    first, second = np.divmod(keys, n)
+    return chars, first, second
+
+
+def _cosine_prefilter(
+    chars: list[str],
+    first: np.ndarray,
+    second: np.ndarray,
+    glyphs: list[GlyphCodeTable],
+    emb: EmbeddingTable,
+    cosine_min: float,
+) -> np.ndarray:
+    """Mask of the candidates (chars[first[k]], chars[second[k]]) that
+    _evaluate_pair may keep or raise on.
+
+    A pair is dropped only when _evaluate_pair surely returns None
+    without raising: both vectors are float64 of shape (dim,) with
+    squared norms within [tiny, 1 / tiny], neither character has an
+    empty glyph code, and the array cosine of the normalised rows is
+    below cosine_min by more than rounding.  The scalar code re-decides
+    every gate of the rest, so no stored score comes from this pass.
+    """
+    empty_code = {char for table in glyphs for char, codes in table.codes.items() if "" in codes}
+    found = [emb.vectors.get(char) for char in chars]
+    usable = [
+        char not in empty_code
+        and isinstance(vec, np.ndarray)
+        and vec.dtype == np.float64
+        and vec.shape == (emb.dim,)
+        for char, vec in zip(chars, found)
+    ]
+    zero = np.zeros(emb.dim)
+    vectors = np.array([vec if ok else zero for vec, ok in zip(found, usable)]).reshape(len(chars), emb.dim)
+    screenable = np.array(usable, dtype=bool)
+    tiny = np.finfo(float).tiny
+    with np.errstate(over="ignore"):  # an overflowing norm only leaves its row to the scalar gates
+        squared = np.einsum("ij,ij->i", vectors, vectors)
+    screenable &= (squared >= tiny) & (squared <= 1.0 / tiny)
+    # normalise in place; the rows left to the scalar gates become zero
+    vectors[~screenable] = 0.0
+    vectors /= np.sqrt(np.where(screenable, squared, 1.0))[:, None]
+
+    keep = ~(screenable[first] & screenable[second])
+    cutoff = cosine_min - _PREFILTER_MARGIN
+    for start in range(0, len(first), _PREFILTER_CHUNK):
+        chunk = slice(start, start + _PREFILTER_CHUNK)
+        keep[chunk] |= np.einsum("ij,ij->i", vectors[first[chunk]], vectors[second[chunk]]) >= cutoff
+    return keep
+
+
 def discover_pairs(
     lex: Lexicon,
     glyphs: list[GlyphCodeTable],
@@ -247,13 +321,19 @@ def discover_pairs(
     a code can pass, so the candidates are the pairs within each group of
     the homophone index, at Jyutping distance 0, instead of the full
     L*(L-1) combination space; a positive threshold falls back to the
-    exhaustive walk.
+    exhaustive walk.  An array cosine prefilter drops the candidates
+    that cannot pass the embedding gate, and the scalar gates of
+    _evaluate_pair re-decide every survivor, so the result and any
+    exception equal the exhaustive walk's.
     """
     if config.jyutping_max_distance != 0.0:
         return discover_pairs_naive(lex, glyphs, emb, config)
-    index = build_homophone_index(lex)
-    candidates = {pair for chars in index.by_code.values() for pair in combinations(chars, 2)}
-    pairs = [_evaluate_pair(x, y, 0.0, glyphs, emb, config) for x, y in sorted(candidates)]
+    chars, first, second = _homophone_candidates(build_homophone_index(lex))
+    kept = _cosine_prefilter(chars, first, second, glyphs, emb, config.cosine_min)
+    pairs = [
+        _evaluate_pair(chars[i], chars[j], 0.0, glyphs, emb, config)
+        for i, j in zip(first[kept].tolist(), second[kept].tolist())
+    ]
     return sorted((p for p in pairs if p is not None), key=lambda p: (p.variant, p.canonical))
 
 

@@ -60,6 +60,23 @@ def test_vocab_superscript_blank_index(tmp_path):
     assert (exc.value.path, exc.value.line_no) == (str(path), 1)
 
 
+def test_vocab_huge_blank_index(tmp_path):
+    # int() refuses more than 4,300 digits
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"#blank {'9' * 5000}\n<b>\n左\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_vocab(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
+
+
+@pytest.mark.parametrize("first", ["#blankx 0", "#blank0", "#Blank 0"])
+def test_vocab_blank_directive_is_a_whole_field(tmp_path, first):
+    path = tmp_path / "vocab.txt"
+    path.write_text(f"{first}\n<b>\n左\n", encoding="utf-8")
+    with pytest.raises(MissingBlankDirective):
+        load_vocab(str(path))
+
+
 def test_vocab_round_trip(tmp_path):
     vocab = Vocabulary(("<b>", "王", "黃"), 0)
     path = tmp_path / "vocab.txt"

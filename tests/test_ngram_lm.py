@@ -204,3 +204,17 @@ def test_non_finite_numbers_rejected(tmp_path, entry):
         load_arpa(str(path))
     assert exc.value.line_no == 6
     assert exc.value.path == str(path)
+
+
+@pytest.mark.parametrize(
+    "declaration, section, line_no",
+    [(f"ngram 1={'9' * 5000}", "1", 2), (f"ngram {'9' * 5000}=2", "1", 2), ("ngram 1=2", "9" * 5000, 4)],
+    ids=["count", "order", "section"],
+)
+def test_huge_numbers_rejected(tmp_path, declaration, section, line_no):
+    # int() refuses more than 4,300 digits
+    path = tmp_path / "bad.arpa"
+    path.write_text(f"\\data\\\n{declaration}\n\n\\{section}-grams:\n-0.5\ta\n-0.5\tb\n\n\\end\\\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_arpa(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), line_no)

@@ -10,11 +10,12 @@ from homodecode.errors import (
     DimMismatch,
     EmptySentence,
     EmptyString,
+    HomodecodeError,
     MalformedLine,
     MissingEmbedding,
     ZeroVector,
 )
-from homodecode.lexicon import load_cin_table, load_lexicon
+from homodecode.lexicon import GlyphCodeTable, JyutpingCode, Lexicon, load_cin_table, load_lexicon
 from homodecode.unified_writing import (
     EmbeddingTable,
     FrequencyTable,
@@ -143,6 +144,15 @@ def test_load_embeddings_superscript_header_digit(tmp_path):
     assert (exc.value.path, exc.value.line_no) == (str(path), 1)
 
 
+def test_load_embeddings_huge_header_dim(tmp_path):
+    # int() refuses more than 4,300 digits
+    path = tmp_path / "emb.vec"
+    path.write_text(f"1 {'9' * 5000}\n左 1.0 0.0\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_embeddings(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
+
+
 def test_frequency_table_round_trip(tmp_path):
     path = tmp_path / "freq.tsv"
     path.write_text("裏\t10\n裡\t2\n", encoding="utf-8")
@@ -154,6 +164,14 @@ def test_frequency_table_round_trip(tmp_path):
 def test_frequency_table_superscript_count(tmp_path):
     path = tmp_path / "freq.tsv"
     path.write_text("裏\t10\na\t²\n", encoding="utf-8")
+    with pytest.raises(MalformedLine) as exc:
+        load_frequency_table(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 2)
+
+
+def test_frequency_table_huge_count(tmp_path):
+    path = tmp_path / "freq.tsv"
+    path.write_text(f"裏\t10\na\t{'9' * 5000}\n", encoding="utf-8")
     with pytest.raises(MalformedLine) as exc:
         load_frequency_table(str(path))
     assert (exc.value.path, exc.value.line_no) == (str(path), 2)
@@ -266,6 +284,79 @@ def test_bucketed_equals_naive(tmp_path):
         assert discover_pairs(lex, tables, emb, config) == discover_pairs_naive(
             lex, tables, emb, config
         )
+
+
+def _hazard_world(rng):
+    """A small world holding every input that the array cosine prefilter
+    must leave to the scalar gates: missing, zero, tiny, huge and
+    wrong-length vectors, empty glyph codes, and scaled copies whose
+    cosine is 1 up to rounding."""
+    chars = [chr(0x4E00 + i) for i in range(rng.randint(4, 9))]
+    entries = [(c, JyutpingCode(rng.choice(("zo", "lei")), rng.randint(1, 2))) for c in chars for _ in range(2)]
+    lex = Lexicon(tuple(dict.fromkeys(entries)))
+    tables = []
+    for m in range(2):
+        codes = {}
+        for c in chars:
+            if rng.random() < 0.8:
+                codes[c] = ("".join(rng.choice("ab") for _ in range(rng.randint(1, 3))),)
+                if rng.random() < 0.04:
+                    codes[c] += ("",)
+        tables.append(GlyphCodeTable(f"m{m}", codes))
+    vectors = {}
+    for c in chars:
+        hazard = rng.random()
+        vec = np.array([rng.choice((-1.0, 0.0, 1.0, 2.0, 0.3)) for _ in range(3)])
+        if not vec.any():
+            vec[0] = 1.0
+        if hazard < 0.05:
+            continue
+        elif hazard < 0.09:
+            vec = np.zeros(3)
+        elif hazard < 0.13:
+            vec = vec * 1e-160
+        elif hazard < 0.17:
+            vec = vec * 1e200
+        elif hazard < 0.20:
+            vec = np.append(vec, 1.0)
+        elif hazard < 0.45 and vectors:
+            vec = rng.choice(list(vectors.values())) * rng.choice((2.0, 3.0, 0.1, 7e-3))
+        vectors[c] = vec
+    emb = EmbeddingTable(3, vectors)
+    ordinary = [v for v in vectors.values() if v.shape == (3,) and 1e-3 < np.linalg.norm(v) < 1e3]
+    cosines = [0.0, 0.5, 1.0]
+    if len(ordinary) >= 2:
+        u, v = rng.sample(ordinary, 2)
+        cosines.append(max(0.0, cosine_similarity(u, v)))  # a threshold some pair meets exactly
+    config = UWConfig(
+        glyph_max_distance=rng.choice((0.25, 0.5, 1.0)),
+        cosine_min=rng.choice(cosines),
+        min_methods=rng.choice((None, 1)),
+    )
+    return lex, tables, emb, config
+
+
+def _discovery_outcome(discover, *args):
+    try:
+        return repr(discover(*args))
+    except HomodecodeError as exc:
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_cosine_prefilter_equals_naive_on_hazards():
+    # the prefilter drops a pair only where the scalar gates surely return
+    # None without raising, so the result, or the exception, is the naive walk's
+    rng = random.Random(406)
+    outcomes = []
+    for _ in range(600):
+        world = _hazard_world(rng)
+        naive = _discovery_outcome(discover_pairs_naive, *world)
+        assert _discovery_outcome(discover_pairs, *world) == naive
+        outcomes.append(naive)
+    raised = [o for o in outcomes if isinstance(o, type)]
+    assert {DimMismatch, EmptyString, ZeroVector} <= set(raised)
+    assert sum(o != "[]" for o in outcomes if isinstance(o, str)) >= 100
 
 
 def test_jyutping_threshold_filters_on_closest_codes(tmp_path):
