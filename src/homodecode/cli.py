@@ -72,14 +72,15 @@ class ToolConfig:
         try:
             with open_text(path) as fh:
                 obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # malformed JSON, or an integer too long for int()
             raise FormatError(f"{path}: {exc}") from exc
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: bad config: expected a JSON object, got {type(obj).__name__}")
         variants = obj.get("variants", tuple(VARIANTS))
         try:
             # a key that is no field (a misspelt "lexcon") is a TypeError naming it,
-            # and so is a value of the wrong JSON type
+            # and so is a value of the wrong JSON type; a threshold too big for a
+            # float is an OverflowError
             config = cls(
                 **{
                     **obj,
@@ -88,7 +89,7 @@ class ToolConfig:
                     "variants": tuple(variants) if isinstance(variants, list) else variants,
                 }
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
         for name in ("vocab", "lexicon", "lm", "embeddings", "frequency", "pairs", "cin_dir"):
             value = getattr(config, name)

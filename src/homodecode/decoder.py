@@ -84,22 +84,13 @@ class DecoderConfig:
 
 @dataclass
 class BeamHypothesis:
-    """One decoding prefix. Probabilities are natural-log; lm_score log10.
-
-    The ext_* fields are kept only for the frozen reference beam step
-    in the tests, which records a frame's extension on the hypothesis
-    (appended token, the mass that multiplied its emission, its LM
-    increment); the decoder keeps that per-cell state in BeamExpansion.
-    """
+    """One decoding prefix. Probabilities are natural-log; lm_score log10."""
 
     prefix: tuple[int, ...]
     p_blank: float
     p_nonblank: float
     lm_score: float = 0.0
     fused_score: float = 0.0
-    ext_index: int | None = None
-    ext_mass: float = NEG_INF
-    ext_lm_inc: float = 0.0
 
     def acoustic_score(self) -> float:
         return _logaddexp(self.p_blank, self.p_nonblank)

@@ -12,16 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    BadMagic,
-    DuplicateToken,
-    MalformedLine,
-    MissingBlankDirective,
-    RowNotNormalized,
-    VocabSizeMismatch,
-    open_text,
-    parse_count,
-)
+from .errors import MalformedLine, open_text, parse_count
 
 EMAT_MAGIC = b"EMAT"
 EMAT_VERSION = 1
@@ -81,7 +72,7 @@ def load_vocab(path: str) -> Vocabulary:
     lines = text.splitlines()
     fields = lines[0].split() if lines else []
     if not fields or fields[0] != "#blank":
-        raise MissingBlankDirective(path)
+        raise MalformedLine(1, "vocabulary file must start with a '#blank <index>' directive", path)
     expected = "expected '#blank <index>'"
     if len(fields) != 2:
         raise MalformedLine(1, expected, path)
@@ -92,7 +83,7 @@ def load_vocab(path: str) -> Vocabulary:
         if token == "":
             raise MalformedLine(line_no, "empty token line", path)
         if token in seen:
-            raise DuplicateToken(token, line_no, path)
+            raise MalformedLine(line_no, f"duplicate vocabulary token {token!r}", path)
         seen.add(token)
         tokens.append(token)
     if not 0 <= blank_index < len(tokens):
@@ -116,24 +107,27 @@ def load_emissions(path: str, vocab: Vocabulary) -> EmissionMatrix:
     """
     with open(path, "rb") as fh:
         header = fh.read(16)
+        bad_magic = f"bad magic {header[:4]!r}, expected {EMAT_MAGIC!r}"
         if len(header) < 16 or header[:4] != EMAT_MAGIC:
-            raise BadMagic(header[:4], path)
+            raise MalformedLine(0, bad_magic, path)
         version, frames, width = struct.unpack("<III", header[4:16])
         if version != EMAT_VERSION:
-            raise BadMagic(header[:4], path)
+            raise MalformedLine(0, bad_magic, path)
         payload = fh.read()
     expected = frames * width * 4
     if len(payload) != expected:
         raise MalformedLine(0, f"expected {expected} payload bytes, found {len(payload)}", path)
     if width != vocab.size:
-        raise VocabSizeMismatch(width, vocab.size, path)
+        raise MalformedLine(0, f"emission matrix has V={width} but vocabulary has {vocab.size} tokens", path)
     values = np.frombuffer(payload, dtype="<f4").reshape(frames, width)
     row_sums = np.exp(values.astype(np.float64)).sum(axis=1)
     # negated <= so NaN rows fail the check too
     bad = np.nonzero(~(np.abs(row_sums - 1.0) <= ROW_SUM_TOLERANCE))[0]
     if bad.size:
         frame = int(bad[0])
-        raise RowNotNormalized(frame, float(row_sums[frame]), path)
+        raise MalformedLine(
+            0, f"frame {frame}: exponentiated row sums to {row_sums[frame]:.6f}, not 1 within 1e-4", path
+        )
     return EmissionMatrix(values)
 
 

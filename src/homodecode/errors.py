@@ -1,11 +1,13 @@
 """Exception types shared across the toolkit.
 
-Every error raised on malformed input files carries enough context
-(path, line number) for the CLI to print an actionable message and
-exit with status 2.  open_text opens the toolkit's UTF-8 inputs so that
-undecodable bytes raise such an error too, parse_count reads the counts
-and indices of text inputs, and check_types holds the settings classes
-to the value types of their fields.
+Every malformed input file raises MalformedLine, which carries the
+path and line number (0 for a fault of the whole file or its header)
+and prints as "path:line: message"; the CLI maps it to exit status 2.
+The other HomodecodeError types guard API calls.  open_text opens the
+toolkit's UTF-8 inputs so that undecodable bytes raise MalformedLine
+too, parse_count reads the counts and indices of text inputs, and
+check_types holds the settings classes to the value types of their
+fields.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ class HomodecodeError(Exception):
 class FormatError(HomodecodeError):
     """Base class for malformed-input errors (CLI maps these to exit 2)."""
 
-
-# --- text table parsing (lexicon TSV, cin tables, vocab files) ---
 
 class MalformedLine(FormatError):
     def __init__(self, line_no: int, message: str, path: str | None = None):
@@ -81,92 +81,12 @@ def check_types(config, kinds: tuple[type, ...], *names: str) -> None:
             raise TypeError(f"{name} must be {wanted}, got {value!r}")
 
 
-class InvalidTone(FormatError):
-    def __init__(self, tone: int, line_no: int | None = None, path: str | None = None):
-        self.tone = tone
-        self.line_no = line_no
-        self.path = path
-        where = f"{path}:{line_no}: " if path and line_no else ""
-        super().__init__(f"{where}tone {tone} outside 1..6")
-
-
-class MissingChardefBlock(FormatError):
-    def __init__(self, path: str | None = None):
-        self.path = path
-        super().__init__(f"no %chardef begin block found{' in ' + path if path else ''}")
-
-
-class DuplicateToken(FormatError):
-    def __init__(self, token: str, line_no: int | None = None, path: str | None = None):
-        self.token = token
-        self.line_no = line_no
-        where = f"{path}:{line_no}: " if path and line_no else ""
-        super().__init__(f"{where}duplicate vocabulary token {token!r}")
-
-
-class MissingBlankDirective(FormatError):
-    def __init__(self, path: str | None = None):
-        super().__init__(
-            f"vocabulary file must start with a '#blank <index>' directive"
-            f"{' (' + path + ')' if path else ''}"
-        )
-
-
-# --- emission matrix binary format ---
-
-class BadMagic(FormatError):
-    def __init__(self, found: bytes, path: str | None = None):
-        self.found = found
-        super().__init__(
-            f"bad magic {found!r}, expected b'EMAT'{' in ' + path if path else ''}"
-        )
-
-
-class VocabSizeMismatch(FormatError):
-    def __init__(self, file_v: int, vocab_v: int, path: str | None = None):
-        self.file_v = file_v
-        self.vocab_v = vocab_v
-        super().__init__(
-            f"emission matrix has V={file_v} but vocabulary has {vocab_v} tokens"
-            f"{' (' + path + ')' if path else ''}"
-        )
-
-
-class RowNotNormalized(FormatError):
-    def __init__(self, frame: int, row_sum: float, path: str | None = None):
-        self.frame = frame
-        self.row_sum = row_sum
-        super().__init__(
-            f"frame {frame}: exponentiated row sums to {row_sum:.6f}, not 1 within 1e-4"
-            f"{' (' + path + ')' if path else ''}"
-        )
-
+# --- decoder inputs ---
 
 class EmptyEmissions(HomodecodeError):
     def __init__(self) -> None:
         super().__init__("emission matrix has zero frames")
 
-
-# --- ARPA language model ---
-
-class CountMismatch(FormatError):
-    def __init__(self, order: int, declared: int, found: int, path: str | None = None):
-        self.order = order
-        self.declared = declared
-        self.found = found
-        super().__init__(
-            f"\\{order}-grams: declared {declared} entries, found {found}"
-            f"{' (' + path + ')' if path else ''}"
-        )
-
-
-class MissingSection(FormatError):
-    def __init__(self, section: str, path: str | None = None):
-        self.section = section
-        super().__init__(f"missing {section} section{' in ' + path if path else ''}")
-
-
-# --- decoder / scoring ---
 
 class InvalidProbability(HomodecodeError):
     def __init__(self, name: str, value: float):

@@ -107,7 +107,7 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             try:
                 obj = json.loads(line)
                 entries.append(ManifestEntry(str(obj["id"]), obj["emissions_path"], obj["reference"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # ValueError: bad JSON or a too-long integer
                 raise MalformedLine(line_no, f"bad manifest entry: {exc}", path) from exc
     if not entries:
         raise MalformedLine(0, "empty manifest", path)

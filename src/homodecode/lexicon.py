@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .errors import InvalidTone, MalformedLine, MissingChardefBlock, open_text
+from .errors import MalformedLine, open_text
 
 _JYUTPING_RE = re.compile(r"^([a-z]+)([0-9])$")
 
@@ -36,7 +36,7 @@ class JyutpingCode:
             raise MalformedLine(line_no, f"bad Jyutping code {raw!r}", path)
         tone = int(m.group(2))
         if not 1 <= tone <= 6:
-            raise InvalidTone(tone, line_no, path)
+            raise MalformedLine(line_no, f"tone {tone} outside 1..6", path)
         return cls(m.group(1), tone)
 
 
@@ -111,7 +111,12 @@ def load_lexicon(path: str) -> Lexicon:
 
 
 def save_lexicon(lex: Lexicon, path: str) -> None:
-    """Write entries back as TSV; round-trips through load_lexicon."""
+    """Write entries back as TSV; round-trips through load_lexicon.  An
+    entry whose character is "#" would read back as a comment line, so
+    it raises ValueError before anything is written."""
+    for char, code in lex.entries:
+        if char.startswith("#"):
+            raise ValueError(f"lexicon entry {char!r} {code.text!r} would read back as a comment")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for char, code in lex.entries:
             fh.write(f"{char}\t{code.text}\n")
@@ -174,7 +179,7 @@ def load_cin_table(path: str) -> GlyphCodeTable:
             seen_pairs.add((char, code))
             codes.setdefault(char, []).append(code)
     if not saw_block:
-        raise MissingChardefBlock(path)
+        raise MalformedLine(0, "no %chardef begin block found", path)
     if not method_name:
         stem = path.replace("\\", "/").rsplit("/", 1)[-1]
         method_name = stem.rsplit(".", 1)[0]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CountMismatch, MalformedLine, MissingSection, open_text, parse_count
+from .errors import MalformedLine, open_text, parse_count
 
 SENTENCE_START = "<s>"
 SENTENCE_END = "</s>"
@@ -121,19 +121,15 @@ class NGramModel:
             acc += self.backoffs.get(ctx, 0.0)
             ctx = ctx[1:]
 
-    def row_index(self, token: str) -> int:
-        """Position of normalize_token(token) in the rows of logprob_row."""
-        view = self._rows or self._build_rows()
-        position = view.position(token)
-        return view.unk_position if position is None else position
-
     def row_indices(self, tokens: tuple[str, ...]) -> np.ndarray:
-        """row_index of every token, as a read-only array; the array for
-        the last tokens asked for is kept, so a decode maps its
-        vocabulary once."""
+        """Position of normalize_token(token) in the rows of logprob_row,
+        for every token, as a read-only array; the array for the last
+        tokens asked for is kept, so a decode maps its vocabulary once."""
         cached = self._row_indices
         if cached is None or (cached[0] is not tokens and cached[0] != tokens):
-            positions = np.array([self.row_index(token) for token in tokens], dtype=np.intp)
+            view = self._rows or self._build_rows()
+            found = (view.position(token) for token in tokens)
+            positions = np.array([view.unk_position if p is None else p for p in found], dtype=np.intp)
             positions.flags.writeable = False
             cached = self._row_indices = (tokens, positions)
         return cached[1]
@@ -263,17 +259,18 @@ def load_arpa(path: str) -> NGramModel:
                 backoffs[ngram] = bo
             found[n] = found.get(n, 0) + 1
     if not saw_data:
-        raise MissingSection("\\data\\", path)
+        raise MalformedLine(0, "missing \\data\\ section", path)
     if not saw_end:
-        raise MissingSection("\\end\\", path)
+        raise MalformedLine(0, "missing \\end\\ section", path)
     for order_n, count in declared.items():
         if count > 0 and order_n not in found:
-            raise MissingSection(f"\\{order_n}-grams:", path)
+            raise MalformedLine(0, f"missing \\{order_n}-grams: section", path)
         if found.get(order_n, 0) != count:
-            raise CountMismatch(order_n, count, found.get(order_n, 0), path)
+            message = f"\\{order_n}-grams: declared {count} entries, found {found.get(order_n, 0)}"
+            raise MalformedLine(0, message, path)
     for order_n, count in found.items():
         if order_n not in declared and count > 0:
-            raise CountMismatch(order_n, 0, count, path)
+            raise MalformedLine(0, f"\\{order_n}-grams: declared 0 entries, found {count}", path)
     orders = [n for n, c in declared.items() if c > 0]
     order = max(orders) if orders else 1
     return NGramModel(order=order, probs=probs, backoffs=backoffs)

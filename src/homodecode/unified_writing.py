@@ -360,7 +360,12 @@ def discover_pairs_naive(
 
 def save_pairs(pairs: list[UnifiedPair], path: str) -> None:
     """Write pairs TSV: variant, canonical, jyutping distance, cosine,
-    per-method glyph distances as "method=value;..."."""
+    per-method glyph distances as "method=value;...".  A pair whose
+    variant starts with "#" would read back as a comment line, so it
+    raises ValueError before anything is written."""
+    for p in pairs:
+        if p.variant.startswith("#"):
+            raise ValueError(f"pair {p.variant!r} -> {p.canonical!r} would read back as a comment")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in pairs:
             glyphs = ";".join(f"{m}={d!r}" for m, d in p.glyph_distances)

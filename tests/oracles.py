@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -177,6 +178,17 @@ def plain_prefix_beam_decode(log_probs, blank, tokens, beam_size, alpha, beta,
 #     injection tables, top-k prune and partitioned candidate selection);
 #     the rewritten step must match it bit for bit ---
 
+@dataclass
+class ReferenceHypothesis(BeamHypothesis):
+    """A hypothesis that records its frame's extension for the reference
+    step: the appended token, the mass that multiplied its emission and
+    its LM increment."""
+
+    ext_index: int | None = None
+    ext_mass: float = NEG_INF
+    ext_lm_inc: float = 0.0
+
+
 def _reference_fused(hyp, config):
     return (
         hyp.acoustic_score()
@@ -231,7 +243,7 @@ def reference_ctc_step(hyps, frame, vocab, config, lm=None, prune=True):
         if lp_blank != NEG_INF:
             rec = next_recs.get(hyp.prefix)
             if rec is None:
-                rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
+                rec = ReferenceHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
                 next_recs[hyp.prefix] = rec
             rec.p_blank = _logaddexp(rec.p_blank, p_tot + lp_blank)
 
@@ -241,7 +253,7 @@ def reference_ctc_step(hyps, frame, vocab, config, lm=None, prune=True):
                 if hyp.p_nonblank != NEG_INF:
                     rec = next_recs.get(hyp.prefix)
                     if rec is None:
-                        rec = BeamHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
+                        rec = ReferenceHypothesis(hyp.prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score)
                         next_recs[hyp.prefix] = rec
                     rec.p_nonblank = _logaddexp(rec.p_nonblank, hyp.p_nonblank + lp_c)
                 mass = hyp.p_blank
@@ -253,7 +265,7 @@ def reference_ctc_step(hyps, frame, vocab, config, lm=None, prune=True):
             rec = next_recs.get(new_prefix)
             if rec is None:
                 inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
-                rec = BeamHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
+                rec = ReferenceHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
                 next_recs[new_prefix] = rec
             elif rec.ext_index is None:
                 inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
@@ -304,7 +316,7 @@ def reference_extend_homophones(hyps, frame, index, vocab, config, lm=None, step
                 existing.p_nonblank = max(existing.p_nonblank, contrib)
             else:
                 inc = _reference_lm_increment(lm, vocab, parent, h_char)
-                rec = BeamHypothesis(
+                rec = ReferenceHypothesis(
                     sibling,
                     NEG_INF,
                     contrib,

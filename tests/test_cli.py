@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import pytest
 
@@ -14,6 +15,7 @@ from helpers import (
     variant_embeddings,
     write_arpa,
     write_cin,
+    write_emat_raw,
     write_embeddings,
     write_lexicon,
     write_vocab,
@@ -111,6 +113,50 @@ def test_decode_malformed_input_exit_2(decode_world, tmp_path, capsys):
     world = dict(decode_world, emissions=str(bad))
     assert run_decode(world) == 2
     assert "bad.emat" in capsys.readouterr().err
+
+
+def _write_text(text):
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+def _write_emat(rows_ln, **header):
+    return lambda path: write_emat_raw(path, rows_ln, **header)
+
+
+# one input per kind of fault; each names its file and the fault's line,
+# or line 0 for a fault of the whole file or its header
+@pytest.mark.parametrize("flag, name, write, line, message", [
+    ("--lexicon", "lex.tsv", _write_text("左\tzo2\n阻\tzo9\n"), 2,
+     "tone 9 outside 1..6"),
+    ("--vocab", "vocab.txt", _write_text("#blank 0\n<b>\n左\n阻\n左\n面\n"), 5,
+     "duplicate vocabulary token '左'"),
+    ("--vocab", "vocab.txt", _write_text("<b>\n左\n"), 1,
+     "vocabulary file must start with a '#blank <index>' directive"),
+    ("--emissions", "utt.emat", _write_emat([[math.log(0.25)] * 4], magic=b"XMAT"), 0,
+     "bad magic b'XMAT', expected b'EMAT'"),
+    ("--emissions", "utt.emat", _write_emat([[math.log(1 / 3)] * 3]), 0,
+     "emission matrix has V=3 but vocabulary has 4 tokens"),
+    ("--emissions", "utt.emat", _write_emat([[math.log(0.25)] * 4, [math.log(0.125)] * 4]), 0,
+     "frame 1: exponentiated row sums to 0.500000, not 1 within 1e-4"),
+    ("--lm", "lm.arpa", _write_text("\\data\\\nngram 1=2\n\n\\1-grams:\n-0.5\t左\n\n\\end\\\n"), 0,
+     "\\1-grams: declared 2 entries, found 1"),
+    ("--lm", "lm.arpa", _write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\t左\n"), 0,
+     "missing \\end\\ section"),
+    ("--cin-dir", "a.cin", _write_text("%gen_inp\n%ename X\n"), 0,
+     "no %chardef begin block found"),
+], ids=["tone", "duplicate-token", "blank-directive", "magic", "vocab-size", "row-sum", "count", "section", "chardef"])
+def test_malformed_input_names_file_and_line(decode_world, tmp_path, capsys, flag, name, write, line, message):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    write(bad / name)
+    if flag == "--cin-dir":
+        embeddings = write_embeddings(tmp_path / "emb.vec", {"左": [1.0, 0.0], "阻": [0.0, 1.0]})
+        args = ["uw", "discover", "--lexicon", decode_world["lexicon"], "--cin-dir", str(bad),
+                "--embeddings", embeddings, "--out", str(tmp_path / "pairs.tsv")]
+        assert main(args) == 2
+    else:
+        assert run_decode(dict(decode_world, **{flag[2:]: str(bad / name)})) == 2
+    assert capsys.readouterr().err == f"error: {bad / name}:{line}: {message}\n"
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -533,6 +579,25 @@ def test_compare_wrong_config_value_type_exit_2(compare_world, tmp_path, capsys,
     code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
     assert code == 2
     assert f"{config}: bad config: {message}" in capsys.readouterr().err
+
+
+def test_compare_huge_config_integer_exit_2(compare_world, tmp_path, capsys):
+    # json.load raises a plain ValueError on an integer of more than 4,300 digits
+    text = open(compare_world["config"], encoding="utf-8").read()
+    config = tmp_path / "huge.json"
+    config.write_text(text[:-1] + f', "decoder": {{"beam_size": {"9" * 5000}}}}}', encoding="utf-8")
+    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {config}: ")
+
+
+def test_compare_huge_manifest_integer_exit_2(compare_world, tmp_path, capsys):
+    text = open(compare_world["manifest"], encoding="utf-8").read()
+    manifest = tmp_path / "huge.jsonl"
+    manifest.write_text(text.replace('"id": "u2"', f'"id": {"9" * 5000}'), encoding="utf-8")
+    code = main(["compare", "--manifest", str(manifest), "--config", compare_world["config"]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {manifest}:2: bad manifest entry: ")
 
 
 def test_compare_config_not_an_object_exit_2(compare_world, tmp_path, capsys):

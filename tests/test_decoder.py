@@ -389,7 +389,8 @@ def test_beam_monotone_degradation():
 
 
 def test_rescoring_reranks_nbest(tmp_path):
-    # alpha=0 search with rescoring acts as a pure second-pass reranker
+    # a decode without an LM picks "a"; shallow fusion at alpha=0.45 (with
+    # rescoring on) picks "b", whose LM score is the stored unigram
     vocab = Vocabulary(("<b>", "a", "b"), 0)
     lm = load_arpa(write_arpa(tmp_path / "lm.arpa", {"a": -3.0, "b": -0.2}))
     matrix = matrix_from_linear([[0.2, 0.45, 0.35]])

@@ -11,14 +11,7 @@ from homodecode.emissions import (
     save_emissions,
     save_vocab,
 )
-from homodecode.errors import (
-    BadMagic,
-    DuplicateToken,
-    MalformedLine,
-    MissingBlankDirective,
-    RowNotNormalized,
-    VocabSizeMismatch,
-)
+from homodecode.errors import MalformedLine
 
 from helpers import uniform_row, write_emat_raw, write_vocab
 
@@ -40,15 +33,17 @@ def test_vocab_basic(tmp_path):
 
 def test_vocab_duplicate_token(tmp_path):
     path = write_vocab(tmp_path / "vocab.txt", ["<b>", "左", "左"])
-    with pytest.raises(DuplicateToken):
+    with pytest.raises(MalformedLine, match=": duplicate vocabulary token '左'$") as exc:
         load_vocab(path)
+    assert (exc.value.path, exc.value.line_no) == (path, 4)
 
 
 def test_vocab_missing_blank_directive(tmp_path):
     path = tmp_path / "vocab.txt"
     path.write_text("<b>\n左\n", encoding="utf-8")
-    with pytest.raises(MissingBlankDirective):
+    with pytest.raises(MalformedLine, match="must start with a '#blank <index>' directive") as exc:
         load_vocab(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
 
 
 def test_vocab_superscript_blank_index(tmp_path):
@@ -73,8 +68,9 @@ def test_vocab_huge_blank_index(tmp_path):
 def test_vocab_blank_directive_is_a_whole_field(tmp_path, first):
     path = tmp_path / "vocab.txt"
     path.write_text(f"{first}\n<b>\n左\n", encoding="utf-8")
-    with pytest.raises(MissingBlankDirective):
+    with pytest.raises(MalformedLine, match="must start with a '#blank <index>' directive") as exc:
         load_vocab(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 1)
 
 
 def test_vocab_round_trip(tmp_path):
@@ -98,30 +94,33 @@ def test_emissions_uniform_row(tmp_path):
 def test_emissions_vocab_size_mismatch(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([uniform_row(3)]))
-    with pytest.raises(VocabSizeMismatch):
+    with pytest.raises(MalformedLine, match=": emission matrix has V=3 but vocabulary has 2 tokens$") as exc:
         load_emissions(path, vocab)
+    assert (exc.value.path, exc.value.line_no) == (path, 0)
 
 
 def test_emissions_row_not_normalized(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.4]]))
-    with pytest.raises(RowNotNormalized) as exc:
+    with pytest.raises(MalformedLine, match=r": frame 0: exponentiated row sums to 0\.900000, not 1") as exc:
         load_emissions(path, vocab)
-    assert exc.value.frame == 0
+    assert (exc.value.path, exc.value.line_no) == (path, 0)
 
 
 def test_emissions_bad_magic(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.5]]), magic=b"XMAT")
-    with pytest.raises(BadMagic):
+    with pytest.raises(MalformedLine, match=r": bad magic b'XMAT', expected b'EMAT'$") as exc:
         load_emissions(path, vocab)
+    assert (exc.value.path, exc.value.line_no) == (path, 0)
 
 
 def test_emissions_bad_version(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.5]]), version=2)
-    with pytest.raises(BadMagic):
+    with pytest.raises(MalformedLine, match=r": bad magic b'EMAT', expected b'EMAT'$") as exc:
         load_emissions(path, vocab)
+    assert (exc.value.path, exc.value.line_no) == (path, 0)
 
 
 def test_emissions_byte_deterministic(tmp_path):
@@ -163,8 +162,9 @@ def test_zero_frame_file_loads(tmp_path):
 def test_nan_row_rejected(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", [[float("nan"), math.log(0.5)]])
-    with pytest.raises(RowNotNormalized):
+    with pytest.raises(MalformedLine, match=": frame 0: exponentiated row sums to nan,") as exc:
         load_emissions(path, vocab)
+    assert (exc.value.path, exc.value.line_no) == (path, 0)
 
 
 def test_truncated_payload_rejected(tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homodecode.errors import InvalidTone, MalformedLine, MissingChardefBlock
+from homodecode.errors import MalformedLine
 from homodecode.lexicon import (
     JyutpingCode,
     build_homophone_index,
@@ -29,8 +29,9 @@ def test_load_empty_file(tmp_path):
 
 def test_invalid_tone_rejected(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", [("左", "zo9")])
-    with pytest.raises(InvalidTone):
+    with pytest.raises(MalformedLine, match=": tone 9 outside 1..6$") as exc:
         load_lexicon(path)
+    assert (exc.value.path, exc.value.line_no) == (path, 1)
 
 
 def test_comments_and_duplicates(tmp_path):
@@ -119,8 +120,9 @@ def test_cin_empty_chardef(tmp_path):
 def test_cin_missing_chardef_block(tmp_path):
     path = tmp_path / "t.cin"
     path.write_text("%gen_inp\n%ename X\n", encoding="utf-8")
-    with pytest.raises(MissingChardefBlock):
+    with pytest.raises(MalformedLine, match=": no %chardef begin block found$") as exc:
         load_cin_table(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 0)
 
 
 def test_cin_space_separator_and_multi_codes(tmp_path):

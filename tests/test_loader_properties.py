@@ -1,22 +1,30 @@
-"""Property tests of the text loaders: any file either loads or raises
-FormatError (which the command line turns into exit 2 naming the file
-and line), never any other exception.  What the save functions write
-loads back equal."""
+"""Property tests of the loaders: any input file either loads or raises
+MalformedLine naming that file (which the command line turns into exit 2
+with the file and line), and a config file loads or raises FormatError;
+never any other exception.  What the save functions write loads back
+equal, or is refused at save."""
 
+import dataclasses
 import json
 import math
+import os
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homodecode.emissions import load_vocab
-from homodecode.errors import FormatError
+from homodecode.cli import ToolConfig
+from homodecode.decoder import DecoderConfig
+from homodecode.emissions import Vocabulary, load_emissions, load_vocab
+from homodecode.errors import FormatError, MalformedLine
 from homodecode.evaluation import load_manifest
 from homodecode.lexicon import JyutpingCode, Lexicon, load_cin_table, load_lexicon, save_lexicon
 from homodecode.ngram_lm import load_arpa
 from homodecode.unified_writing import (
     UnifiedPair,
+    UWConfig,
     load_embeddings,
     load_frequency_table,
     load_pairs,
@@ -43,9 +51,12 @@ def scratch(tmp_path_factory):
 
 
 def loads_or_format_error(load, path):
+    """What load returns for path, or None if it raises MalformedLine
+    naming path; any other exception fails the test."""
     try:
         return load(path)
-    except FormatError:
+    except MalformedLine as exc:
+        assert exc.path == path
         return None
 
 
@@ -165,8 +176,84 @@ def test_load_arpa_loads_or_format_error(scratch, lines):
         assert all(map(math.isfinite, [*model.probs.values(), *model.backoffs.values()]))
 
 
-# characters a lexicon file can hold: no tab, line break or leading "#"
-LEXICON_CHARS = st.characters(blacklist_characters="#\t\n\r", blacklist_categories=("Cs",))
+EMAT_VOCAB = Vocabulary(("<b>", "a"), 0)
+# natural-log rows of any width; only the first two sum to 1
+EMAT_ROWS = {
+    "uniform": lambda width: [-math.log(max(width, 1))] * width,
+    "one-hot": lambda width: [0.0 if i == 0 else -math.inf for i in range(width)],
+    "short": lambda width: [math.log(0.9 / max(width, 1))] * width,
+    "nan": lambda width: [math.nan] * width,
+    "inf": lambda width: [math.inf] * width,
+}
+# u32 header fields; the largest would ask for a 64 GiB payload
+EMAT_SIZES = st.sampled_from([0, 1, 2, 3, 2**32 - 1])
+# faults applied to a well-formed file: header fields, and bytes cut or added
+EMAT_FAULTS = st.lists(st.one_of(
+    st.tuples(st.just("magic"), st.sampled_from([b"EMAX", b"EMA", b""])),
+    st.tuples(st.just("version"), st.sampled_from([0, 2])),
+    st.tuples(st.just("frames"), EMAT_SIZES),
+    st.tuples(st.just("width"), EMAT_SIZES),
+    st.tuples(st.just("extra"), st.sampled_from([-4, -1, 4])),
+), max_size=2)
+
+
+@FUZZ
+@given(kinds=st.lists(st.sampled_from(sorted(EMAT_ROWS)), max_size=3), faults=EMAT_FAULTS)
+def test_load_emissions_loads_or_format_error(tmp_path_factory, kinds, faults):
+    well_formed = {"magic": b"EMAT", "version": 1, "frames": len(kinds), "width": EMAT_VOCAB.size, "extra": 0}
+    header = {**well_formed, **dict(faults)}
+    values = [value for kind in kinds for value in EMAT_ROWS[kind](min(header["width"], 3))]
+    data = header["magic"] + struct.pack("<III", header["version"], header["frames"], header["width"])
+    data += struct.pack(f"<{len(values)}f", *values)
+    data = data[: header["extra"]] if header["extra"] < 0 else data + bytes(header["extra"])
+    path = tmp_path_factory.mktemp("emat") / "m.emat"
+    path.write_bytes(data)
+    matrix = loads_or_format_error(lambda p: load_emissions(p, EMAT_VOCAB), str(path))
+    if matrix is not None:
+        assert header == well_formed and set(kinds) <= {"uniform", "one-hot"}
+        assert np.array_equal(matrix.log_probs, np.array(values, dtype="<f4").reshape(len(kinds), EMAT_VOCAB.size))
+
+
+# "<huge>" stands for an integer of 5,000 digits, which json refuses to convert
+CONFIG_VALUES = st.one_of(JSON_VALUES, st.sampled_from([".", 10**400, -(10**400), 1e300, "<huge>"]))
+# (section, key) of each setting of a config, a top-level key that is no
+# setting, and an unknown key in each section
+CONFIG_KEYS = st.sampled_from(
+    [(None, name) for name in ("vocab", "lexicon", "lm", "output_dir", "variants", "uw_on_references", "lexcon")]
+    + [(None, "decoder"), (None, "uw"), ("decoder", "unknown"), ("uw", "unknown")]
+    + [("decoder", f.name) for f in dataclasses.fields(DecoderConfig)]
+    + [("uw", f.name) for f in dataclasses.fields(UWConfig)]
+)
+
+
+def config_text(edits) -> str:
+    """A config that loads, with each (section, key, value) edit applied."""
+    obj = {"vocab": ".", "decoder": {}, "uw": {}}
+    for (section, key), value in edits:
+        target = obj.get(section)
+        (target if isinstance(target, dict) else obj)[key] = value
+    return json.dumps(obj).replace('"<huge>"', "9" * 5000)
+
+
+@FUZZ
+@given(text=st.one_of(
+    st.lists(st.tuples(CONFIG_KEYS, CONFIG_VALUES), max_size=3).map(config_text),
+    st.text(alphabet='{}[]":, 9.e', max_size=8),
+))
+def test_tool_config_loads_or_format_error(scratch, text):
+    path = scratch([text])
+    try:
+        config = ToolConfig.from_json(path)
+    except FormatError as exc:
+        assert str(exc).startswith(path)
+        return
+    assert isinstance(config.decoder, DecoderConfig) and isinstance(config.uw, UWConfig)
+    assert all(map(math.isfinite, (config.decoder.alpha, config.decoder.beta, config.uw.cosine_min)))
+
+
+# characters a lexicon file can hold: no tab or line break; "#" alone
+# would read back as a comment, so save refuses it
+LEXICON_CHARS = st.one_of(st.just("#"), st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)))
 JYUTPING = st.builds(JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max_size=4), st.integers(1, 6))
 
 
@@ -174,6 +261,11 @@ JYUTPING = st.builds(JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max
 @given(entries=st.lists(st.tuples(LEXICON_CHARS, JYUTPING), max_size=6, unique=True))
 def test_lexicon_round_trip(tmp_path_factory, entries):
     path = str(tmp_path_factory.mktemp("lexicon") / "lexicon.tsv")
+    if any(char == "#" for char, _ in entries):
+        with pytest.raises(ValueError, match="'#'"):
+            save_lexicon(Lexicon(tuple(entries)), path)
+        assert not os.path.exists(path)
+        return
     save_lexicon(Lexicon(tuple(entries)), path)
     assert load_lexicon(path) == Lexicon(tuple(entries))
 
@@ -181,7 +273,7 @@ def test_lexicon_round_trip(tmp_path_factory, entries):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PAIRS = st.builds(
     UnifiedPair,
-    variant=st.text(alphabet="裏裡帳賬a", min_size=1, max_size=2),
+    variant=st.text(alphabet="裏裡帳賬a#", min_size=1, max_size=2),
     canonical=st.text(alphabet="裏裡帳賬a", min_size=1, max_size=2),
     jyutping_distance=FINITE,
     glyph_distances=st.lists(st.tuples(st.text(alphabet="mn_1", max_size=3), FINITE), max_size=2).map(tuple),
@@ -193,5 +285,10 @@ PAIRS = st.builds(
 @given(pairs=st.lists(PAIRS, max_size=4))
 def test_pairs_round_trip(tmp_path_factory, pairs):
     path = str(tmp_path_factory.mktemp("pairs") / "pairs.tsv")
+    if any(p.variant.startswith("#") for p in pairs):
+        with pytest.raises(ValueError, match="'#"):
+            save_pairs(pairs, path)
+        assert not os.path.exists(path)
+        return
     save_pairs(pairs, path)
     assert load_pairs(path) == pairs

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from homodecode.errors import CountMismatch, MalformedLine, MissingSection
+from homodecode.errors import MalformedLine
 from homodecode.ngram_lm import UNK_FALLBACK_LOG10, load_arpa, score_increment, score_sequence
 
 from helpers import write_arpa, write_random_arpa, write_random_backoff_arpa, write_toy_arpa
@@ -32,24 +32,25 @@ def test_count_mismatch(tmp_path):
     text = "\\data\\\nngram 1=3\n\n\\1-grams:\n-0.5\ta\n-0.5\tb\n\n\\end\\\n"
     path = tmp_path / "bad.arpa"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(CountMismatch) as exc:
+    with pytest.raises(MalformedLine, match=r": \\1-grams: declared 3 entries, found 2$") as exc:
         load_arpa(str(path))
-    assert exc.value.declared == 3
-    assert exc.value.found == 2
+    assert (exc.value.path, exc.value.line_no) == (str(path), 0)
 
 
 def test_missing_data_section(tmp_path):
     path = tmp_path / "bad.arpa"
     path.write_text("\\1-grams:\n-0.5\ta\n\\end\\\n", encoding="utf-8")
-    with pytest.raises(MissingSection):
+    with pytest.raises(MalformedLine, match=r": missing \\data\\ section$") as exc:
         load_arpa(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 0)
 
 
 def test_missing_end(tmp_path):
     path = tmp_path / "bad.arpa"
     path.write_text("\\data\\\nngram 1=1\n\n\\1-grams:\n-0.5\ta\n", encoding="utf-8")
-    with pytest.raises(MissingSection):
+    with pytest.raises(MalformedLine, match=r": missing \\end\\ section$") as exc:
         load_arpa(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 0)
 
 
 def test_declared_section_absent(tmp_path):
@@ -58,8 +59,9 @@ def test_declared_section_absent(tmp_path):
         "\\data\\\nngram 1=1\nngram 2=3\n\n\\1-grams:\n-0.5\ta\n\n\\end\\\n",
         encoding="utf-8",
     )
-    with pytest.raises(MissingSection):
+    with pytest.raises(MalformedLine, match=r": missing \\2-grams: section$") as exc:
         load_arpa(str(path))
+    assert (exc.value.path, exc.value.line_no) == (str(path), 0)
 
 
 def test_five_gram_order(tmp_path):
@@ -163,9 +165,10 @@ def test_logprob_row_equals_conditional_logprob(tmp_path):
         unk_unigram = (model.unk,) in model.probs
         unk_higher = any(gram[-1] == model.unk for gram in model.probs if len(gram) > 1)
         unk_modes.add("unigram" if unk_unigram else "higher" if unk_higher else "absent")
-        ids = {t: model.row_index(t) for t in unigrams + [model.unk]}
+        known = tuple(unigrams + [model.unk])
+        ids = dict(zip(known, model.row_indices(known).tolist()))
         assert sorted(ids.values()) == list(range(len(unigrams) + (0 if unk_unigram else 1)))
-        assert model.row_index("never-seen") == ids[model.unk]
+        assert model.row_indices(("never-seen",)).tolist() == [ids[model.unk]]
         stored = [gram[:-1] for gram in model.probs if len(gram) > 1]
         words = tokens + ["<s>", model.unk]
         for _ in range(25):
@@ -183,11 +186,12 @@ def test_logprob_row_equals_conditional_logprob(tmp_path):
 def test_row_indices_are_row_index_per_token_and_kept(toy_model):
     tokens = ("<b>", "a", "b", "never-seen", "a")
     positions = toy_model.row_indices(tokens)
-    assert positions.tolist() == [toy_model.row_index(t) for t in tokens]
+    # rows hold the unigrams a, b in code-point order, then <unk>
+    assert positions.tolist() == [2, 0, 1, 2, 0]
     assert not positions.flags.writeable
     assert toy_model.row_indices(tokens) is positions
     assert toy_model.row_indices(tuple(list(tokens))) is positions  # an equal tuple reuses it too
-    assert toy_model.row_indices(("b",)).tolist() == [toy_model.row_index("b")]
+    assert toy_model.row_indices(("b",)).tolist() == [1]
     assert toy_model.row_indices(tokens) is not positions  # only the last vocabulary is kept
     assert toy_model.row_indices(tokens).tolist() == positions.tolist()
 
