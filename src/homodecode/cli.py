@@ -53,7 +53,6 @@ class ToolConfig:
     embeddings: str | None = None
     frequency: str | None = None
     pairs: str | None = None
-    cin_dir: str | None = None
     output_dir: str = "."
     decoder: DecoderConfig = field(default_factory=DecoderConfig)
     uw: UWConfig = field(default_factory=UWConfig)
@@ -62,7 +61,7 @@ class ToolConfig:
 
     def __post_init__(self):
         check_types(self, (str,), "vocab", "output_dir")
-        check_types(self, (str, type(None)), "lexicon", "lm", "embeddings", "frequency", "pairs", "cin_dir")
+        check_types(self, (str, type(None)), "lexicon", "lm", "embeddings", "frequency", "pairs")
         check_types(self, (bool,), "uw_on_references")
         if not (isinstance(self.variants, tuple) and all(isinstance(v, str) for v in self.variants)):
             raise TypeError(f"variants must be a list of str, got {self.variants!r}")
@@ -91,7 +90,7 @@ class ToolConfig:
             )
         except (TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad config: {exc}") from exc
-        for name in ("vocab", "lexicon", "lm", "embeddings", "frequency", "pairs", "cin_dir"):
+        for name in ("vocab", "lexicon", "lm", "embeddings", "frequency", "pairs"):
             value = getattr(config, name)
             if value is not None and not os.path.exists(value):
                 raise FormatError(f"{path}: {name} path {value!r} does not exist")
@@ -111,7 +110,6 @@ def cmd_decode(args) -> int:
         gamma=args.gamma,
         he_enabled=args.he,
         nbest=args.nbest,
-        rescore_enabled=args.rescore,
         char_topk=args.char_topk,
     )
     result = decode(emissions, vocab, index, lm, config)
@@ -249,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nbest", **_config_flag(DecoderConfig, "nbest", int), help="n-best list size")
     p.add_argument("--char-topk", **_config_flag(DecoderConfig, "char_topk", int),
                    help="most probable characters searched per frame; 0 searches the whole vocabulary")
-    p.add_argument("--rescore", action=argparse.BooleanOptionalAction, default=DecoderConfig.rescore_enabled,
-                   help="final n-best LM rescoring")
     p.add_argument("--nbest-out", help="write the n-best list as JSON-lines")
     p.add_argument("--audit", help="write homophone injection audit as JSON-lines")
     p.set_defaults(func=cmd_decode)

@@ -1,5 +1,5 @@
-"""CTC prefix beam search with n-gram shallow fusion, homophone
-extension, and final n-best LM rescoring.
+"""CTC prefix beam search with n-gram shallow fusion and homophone
+extension.
 
 Every frame takes one path: ctc_step extends the beam into an unpruned
 BeamExpansion, and extend_homophones injects homophone siblings into it
@@ -9,9 +9,11 @@ in non-blank.  Pruning ranks prefixes by the fused score
 
     logsumexp(p_blank, p_nonblank) + alpha * ln(10) * lm_score + beta * |prefix|
 
-where lm_score is the accumulated log10 language-model score.  All
-tie-breaks use transcript code-point order so repeated decodes are
-bit-identical.
+where lm_score is the accumulated log10 language-model score.  Every
+prefix's lm_score is its parent's plus one logprob_row value, however
+the prefix was reached, so it equals score_sequence of the prefix bit
+for bit and the n-best needs no second LM pass.  All tie-breaks use
+transcript code-point order so repeated decodes are bit-identical.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .emissions import EmissionMatrix, Vocabulary
 from .errors import EmptyEmissions, InvalidProbability, check_types
 from .lexicon import HomophoneIndex
-from .ngram_lm import NGramModel, score_sequence
+from .ngram_lm import NGramModel
 
 NEG_INF = float("-inf")
 LN10 = math.log(10.0)
@@ -60,13 +62,12 @@ class DecoderConfig:
     gamma: float = 0.5
     he_enabled: bool = True
     nbest: int = 10
-    rescore_enabled: bool = True
     char_topk: int = 64
 
     def __post_init__(self):
         check_types(self, (int,), "beam_size", "nbest", "char_topk")
         check_types(self, (float, int), "alpha", "beta", "gamma")
-        check_types(self, (bool,), "he_enabled", "rescore_enabled")
+        check_types(self, (bool,), "he_enabled")
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -185,18 +186,18 @@ class BeamExpansion:
     tokens[k] (columns maps a vocabulary id to k, or -1).  Per cell,
     mass is the natural-log mass of the parent that multiplies the
     emission (-inf where the cell extends nothing), p_nonblank that mass
-    times the emission, inc the LM increment and lm_score the parent's
-    LM score plus inc; lm_rows[i] is the logprob_row of parents[i]'s
-    context (None without an LM).  fresh marks the cells whose prefix is
+    times the emission and lm_score the parent's LM score plus the LM
+    increment; lm_rows[i] is the logprob_row of parents[i]'s context
+    (None without an LM).  fresh marks the cells whose prefix is
     new this frame.  The beam's own prefixes, kept by blank or repeat,
     are BeamHypothesis objects in stays; an extension that lands on one
     is merged into it.  Records are created in row-major cell order,
     each stay just before its row's first cell (or, with a zero-
     probability blank, before the cell repeating its last token); when
-    a stay precedes the extension merged into it, the cell's lm_score is
-    the stay's and moved maps the cell's flat index to the stay's
-    position (a cell at flat index f sits at 2 * f + 1, a stay before
-    it at 2 * f).  len() is the number of distinct prefixes.
+    a stay precedes the extension merged into it, moved maps the cell's
+    flat index to the stay's position (a cell at flat index f sits at
+    2 * f + 1, a stay before it at 2 * f).  len() is the number of
+    distinct prefixes.
     """
 
     parents: list[BeamHypothesis]
@@ -206,7 +207,6 @@ class BeamExpansion:
     lm_rows: list[np.ndarray] | None
     mass: np.ndarray
     p_nonblank: np.ndarray
-    inc: np.ndarray
     lm_score: np.ndarray
     fresh: np.ndarray
     stays: dict[tuple[int, ...], BeamHypothesis]
@@ -310,7 +310,7 @@ def ctc_step(
     lm_score = np.array([h.lm_score for h in parents])[:, None] + inc
     exp = BeamExpansion(
         parents, {h.prefix: i for i, h in enumerate(parents)}, tokens, columns, lm_rows,
-        mass, p_nonblank, inc, lm_score, mass != NEG_INF, {}, {},
+        mass, p_nonblank, lm_score, mass != NEG_INF, {}, {},
     )
 
     for j, hyp in enumerate(parents):
@@ -319,18 +319,14 @@ def ctc_step(
         if lp_blank == NEG_INF and not repeat:
             continue
         p_nb = hyp.p_nonblank + float(lp[tokens[k]]) if repeat else NEG_INF
-        lm_sc = hyp.lm_score
         cell = exp.cell(hyp.prefix)
         if cell is not None:  # the extension of this prefix's parent lands here too
             i, c = cell
             exp.fresh[i, c] = False
             p_nb = _logaddexp(p_nb, float(p_nonblank[i, c]))
-            if i < j:  # the record takes the LM score of its first creator in beam order
-                lm_sc = float(lm_score[i, c])
-            else:
-                lm_score[i, c] = lm_sc
+            if i > j:  # the stay is created before the cell; both carry the same LM score
                 exp.moved[i * width + c] = 2 * (j * width + (0 if lp_blank != NEG_INF else k))
-        exp.stays[hyp.prefix] = BeamHypothesis(hyp.prefix, p_tot[j] + lp_blank, p_nb, lm_score=lm_sc)
+        exp.stays[hyp.prefix] = BeamHypothesis(hyp.prefix, p_tot[j] + lp_blank, p_nb, lm_score=hyp.lm_score)
     return exp
 
 
@@ -382,19 +378,17 @@ def _merge_siblings(
     Source i (an extension cell) proposes one sibling per entry of its
     injection table, h_ids and log_ps [first[i] : first[i] + size[i]],
     keyed parent * width + homophone, with mass src_mass[i] + log
-    adjusted probability.  Returns, per distinct key in ascending order:
-    the key, that key's first proposal's source, and the largest mass of
-    all its proposals.
+    adjusted probability.  Returns, per distinct key in ascending order,
+    the key and the largest mass of all its proposals.
     """
     src = np.repeat(np.arange(size.shape[0]), size)
     entry = np.arange(src.shape[0]) + np.repeat(first - (np.cumsum(size) - size), size)
     keys = src_parent.astype(np.int64)[src] * width + h_ids[entry]
-    # a stable sort puts each key's first proposal first
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     sorted_keys = keys[order]
     heads = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
     contrib = src_mass[src] + log_ps[entry]
-    return sorted_keys[heads], src[order[heads]], np.maximum.reduceat(contrib[order], heads)
+    return sorted_keys[heads], np.maximum.reduceat(contrib[order], heads)
 
 
 def extend_homophones(
@@ -425,8 +419,8 @@ def extend_homophones(
     records follow the order in which ctc_step created the records.
     Siblings are scored as arrays: a sibling reached from several
     sources (or several cells of one parent) keeps the largest non-blank
-    mass and the LM score of its first creator, one reached organically
-    too is merged into that prefix, and LM increments come from the
+    mass, one reached organically too is merged into that prefix, and a
+    sibling's LM score is its parent's plus the increment from the
     expansion's logprob_row of the parent.  Only prefixes scoring at
     least the beam_size-th best fused score become BeamHypothesis objects.
     """
@@ -461,7 +455,7 @@ def extend_homophones(
 
     h_ids = np.array([h_idx for h_idx, _ in entries], dtype=np.intp)
     log_ps = np.array([log_p for _, log_p in entries])
-    sib_keys, first_src, p_nonblank = _merge_siblings(
+    sib_keys, p_nonblank = _merge_siblings(
         h_ids, log_ps, first[src_col], size[src_col], src // width, exp.mass.ravel()[src], vocab.size
     )
     sib_row, sib_token = np.divmod(sib_keys, vocab.size)
@@ -478,9 +472,7 @@ def extend_homophones(
             if mass > rec.p_nonblank:
                 rec.p_nonblank = mass
         hit |= on_stay
-    sib_row, sib_token, first_src, p_nonblank = (
-        column[~hit] for column in (sib_row, sib_token, first_src, p_nonblank)
-    )
+    sib_row, sib_token, p_nonblank = (column[~hit] for column in (sib_row, sib_token, p_nonblank))
 
     inc = np.zeros(sib_row.shape[0])
     if exp.lm_rows is not None:
@@ -488,8 +480,8 @@ def extend_homophones(
         for i, lm_row in enumerate(exp.lm_rows):
             at = sib_row == i
             inc[at] = lm_row[sib_pos[at]]
-    base_lm = exp.lm_score.ravel()[src] - exp.inc.ravel()[src]
-    siblings = (sib_row, sib_token, p_nonblank, base_lm[first_src] + inc)
+    parent_lm = np.array([h.lm_score for h in exp.parents])
+    siblings = (sib_row, sib_token, p_nonblank, parent_lm[sib_row] + inc)
     return _select(exp, tuple(map(np.concatenate, zip(exp.fresh_cells(), siblings))), vocab, config)
 
 
@@ -500,15 +492,10 @@ def decode(
     lm: NGramModel | None,
     config: DecoderConfig,
 ) -> DecodeResult:
-    """Run the full pipeline over all frames and return the n-best list.
-
-    With rescore_enabled the final top-nbest transcripts are re-scored
-    from scratch (acoustic logsumexp + alpha * ln10 * full LM score +
-    beta * length) and re-sorted.  The rescored LM term carries the same
-    alpha as shallow fusion, and the full LM score is the sum that search
-    accumulated one increment at a time, so rescoring reproduces the
-    search-time fused scores and their order (up to float rounding of
-    that sum); it is not a second-pass reranker.
+    """Run the full pipeline over all frames and return the n-best list:
+    the nbest best prefixes of the final beam, in its order, with the
+    fused score that ranked them.  There is no rescoring pass: each
+    lm_score already equals score_sequence of its transcript.
     """
     if emissions.frames == 0:
         raise EmptyEmissions()
@@ -521,17 +508,5 @@ def decode(
         # each frame's expansion, LM rows included, is dropped before the next is built
         beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm, t, audit)
 
-    entries: list[NBestEntry] = []
-    for hyp in beam[: config.nbest]:  # the beam is sorted best first
-        transcript = hyp.text(vocab)
-        acoustic = hyp.acoustic_score()
-        lm_sc = hyp.lm_score
-        if config.rescore_enabled and lm is not None:
-            lm_sc = score_sequence(lm, [vocab.tokens[i] for i in hyp.prefix])
-            final = acoustic + config.alpha * LN10 * lm_sc + config.beta * len(hyp.prefix)
-        else:
-            final = hyp.fused_score
-        entries.append(NBestEntry(transcript, final, acoustic, lm_sc))
-    if config.rescore_enabled:
-        entries.sort(key=lambda e: (-e.fused_score, e.transcript))
-    return DecodeResult(tuple(entries), tuple(audit))
+    nbest = [NBestEntry(h.text(vocab), h.fused_score, h.acoustic_score(), h.lm_score) for h in beam[: config.nbest]]
+    return DecodeResult(tuple(nbest), tuple(audit))

@@ -107,12 +107,11 @@ def load_emissions(path: str, vocab: Vocabulary) -> EmissionMatrix:
     """
     with open(path, "rb") as fh:
         header = fh.read(16)
-        bad_magic = f"bad magic {header[:4]!r}, expected {EMAT_MAGIC!r}"
         if len(header) < 16 or header[:4] != EMAT_MAGIC:
-            raise MalformedLine(0, bad_magic, path)
+            raise MalformedLine(0, f"bad magic {header[:4]!r}, expected {EMAT_MAGIC!r}", path)
         version, frames, width = struct.unpack("<III", header[4:16])
         if version != EMAT_VERSION:
-            raise MalformedLine(0, bad_magic, path)
+            raise MalformedLine(0, f"unsupported EMAT version {version}, expected {EMAT_VERSION}", path)
         payload = fh.read()
     expected = frames * width * 4
     if len(payload) != expected:

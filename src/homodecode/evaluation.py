@@ -34,7 +34,7 @@ class Variant:
 
 # the ladder in report order; variants with equal overrides share one decode
 VARIANTS = {
-    "baseline": Variant({"alpha": 0.0, "beta": 0.0, "he_enabled": False, "rescore_enabled": False}),
+    "baseline": Variant({"alpha": 0.0, "beta": 0.0, "he_enabled": False}),
     "lm": Variant({"he_enabled": False}),
     "lm_he": Variant({"he_enabled": True}),
     "lm_uw": Variant({"he_enabled": False}, uw=True),

@@ -110,13 +110,20 @@ def load_lexicon(path: str) -> Lexicon:
     return Lexicon(tuple(entries))
 
 
+# characters that end a field or a line of a TSV record
+TSV_BREAKS = frozenset("\t\n\r")
+
+
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write entries back as TSV; round-trips through load_lexicon.  An
-    entry whose character is "#" would read back as a comment line, so
-    it raises ValueError before anything is written."""
+    entry whose character is "#" would read back as a comment line, and
+    one whose character is a tab or a line break would split, so either
+    raises ValueError before anything is written."""
     for char, code in lex.entries:
         if char.startswith("#"):
             raise ValueError(f"lexicon entry {char!r} {code.text!r} would read back as a comment")
+        if TSV_BREAKS.intersection(char):
+            raise ValueError(f"lexicon entry {char!r} {code.text!r} holds a tab or a line break")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for char, code in lex.entries:
             fh.write(f"{char}\t{code.text}\n")

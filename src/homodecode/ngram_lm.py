@@ -6,15 +6,15 @@ scores.
 
 Two query paths give equal numbers.  conditional_logprob walks the
 back-off recursion over the probs/backoffs dicts for one token; it
-serves sequence scoring and rescoring.  logprob_row scores every token
-at once for one context: each unigram and <unk> has a row position, and
-the row starts from the unigram vector plus the summed back-off weights,
-then takes each stored higher-order n-gram of the context's suffixes,
-shortest suffix first.  The vectors it needs (unigram scores, and the
-successors of every context as flat position/score arrays) are built on
-the first row query and cached on the model, so loading stays a plain
-parse, as are the row positions of the last vocabulary that row_indices
-mapped.
+serves score_sequence and score_increment.  logprob_row, which the
+decoder reads, scores every token at once for one context: each
+unigram and <unk> has a row position, and the row starts from the
+unigram vector plus the summed back-off weights, then takes each stored
+higher-order n-gram of the context's suffixes, shortest suffix first.
+The vectors it needs (unigram scores, and the successors of every
+context as flat position/score arrays) are built on the first row query
+and cached on the model, so loading stays a plain parse, as are the row
+positions of the last vocabulary that row_indices mapped.
 """
 
 from __future__ import annotations

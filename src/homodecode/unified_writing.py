@@ -26,7 +26,7 @@ from .errors import (
     open_text,
     parse_count,
 )
-from .lexicon import GlyphCodeTable, HomophoneIndex, Lexicon, build_homophone_index
+from .lexicon import TSV_BREAKS, GlyphCodeTable, HomophoneIndex, Lexicon, build_homophone_index
 
 
 @dataclass(frozen=True)
@@ -361,11 +361,18 @@ def discover_pairs_naive(
 def save_pairs(pairs: list[UnifiedPair], path: str) -> None:
     """Write pairs TSV: variant, canonical, jyutping distance, cosine,
     per-method glyph distances as "method=value;...".  A pair whose
-    variant starts with "#" would read back as a comment line, so it
-    raises ValueError before anything is written."""
+    variant starts with "#" would read back as a comment line, and one
+    with a tab or a line break in a character field, or with "=", ";", a
+    tab or a line break in a method name, would split differently, so
+    each raises ValueError before anything is written."""
     for p in pairs:
+        record = f"pair {p.variant!r} -> {p.canonical!r}"
         if p.variant.startswith("#"):
-            raise ValueError(f"pair {p.variant!r} -> {p.canonical!r} would read back as a comment")
+            raise ValueError(f"{record} would read back as a comment")
+        if TSV_BREAKS.intersection(p.variant + p.canonical):
+            raise ValueError(f"{record} holds a tab or a line break")
+        if any(TSV_BREAKS.union("=;").intersection(method) for method, _ in p.glyph_distances):
+            raise ValueError(f"{record} has a method name that holds '=', ';', a tab or a line break")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for p in pairs:
             glyphs = ";".join(f"{m}={d!r}" for m, d in p.glyph_distances)

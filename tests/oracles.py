@@ -24,7 +24,7 @@ from homodecode.decoder import (
     NBestEntry,
     homophone_adjusted_prob,
 )
-from homodecode.ngram_lm import score_increment, score_sequence
+from homodecode.ngram_lm import score_increment
 
 NEG_INF = float("-inf")
 
@@ -182,11 +182,11 @@ def plain_prefix_beam_decode(log_probs, blank, tokens, beam_size, alpha, beta,
 class ReferenceHypothesis(BeamHypothesis):
     """A hypothesis that records its frame's extension for the reference
     step: the appended token, the mass that multiplied its emission and
-    its LM increment."""
+    its parent's LM score."""
 
     ext_index: int | None = None
     ext_mass: float = NEG_INF
-    ext_lm_inc: float = 0.0
+    ext_parent_lm: float = 0.0
 
 
 def _reference_fused(hyp, config):
@@ -267,11 +267,7 @@ def reference_ctc_step(hyps, frame, vocab, config, lm=None, prune=True):
                 inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
                 rec = ReferenceHypothesis(new_prefix, NEG_INF, NEG_INF, lm_score=hyp.lm_score + inc)
                 next_recs[new_prefix] = rec
-            elif rec.ext_index is None:
-                inc = _reference_lm_increment(lm, vocab, hyp.prefix, vocab.tokens[c])
-            else:
-                inc = rec.ext_lm_inc
-            rec.ext_lm_inc = inc
+            rec.ext_parent_lm = hyp.lm_score
             rec.p_nonblank = _logaddexp(rec.p_nonblank, mass + lp_c)
             rec.ext_index = c
             rec.ext_mass = _logaddexp(rec.ext_mass, mass)
@@ -320,9 +316,8 @@ def reference_extend_homophones(hyps, frame, index, vocab, config, lm=None, step
                     sibling,
                     NEG_INF,
                     contrib,
-                    lm_score=hyp.lm_score - hyp.ext_lm_inc + inc,
+                    lm_score=hyp.ext_parent_lm + inc,
                 )
-                rec.ext_lm_inc = inc
                 by_prefix[sibling] = rec
 
     return reference_prune(list(by_prefix.values()), vocab, config)
@@ -343,17 +338,5 @@ def reference_decode(emissions, vocab, index, lm, config):
             beam = reference_ctc_step(beam, row, vocab, config, lm, prune=True)
 
     top = sorted(beam, key=lambda h: (-h.fused_score, h.text(vocab)))[: config.nbest]
-    entries = []
-    for hyp in top:
-        transcript = hyp.text(vocab)
-        acoustic = hyp.acoustic_score()
-        lm_sc = hyp.lm_score
-        if config.rescore_enabled and lm is not None:
-            lm_sc = score_sequence(lm, [vocab.tokens[i] for i in hyp.prefix])
-            final = acoustic + config.alpha * LN10 * lm_sc + config.beta * len(hyp.prefix)
-        else:
-            final = hyp.fused_score
-        entries.append(NBestEntry(transcript, final, acoustic, lm_sc))
-    if config.rescore_enabled:
-        entries.sort(key=lambda e: (-e.fused_score, e.transcript))
+    entries = [NBestEntry(h.text(vocab), h.fused_score, h.acoustic_score(), h.lm_score) for h in top]
     return DecodeResult(tuple(entries), tuple(audit))

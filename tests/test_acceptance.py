@@ -94,7 +94,7 @@ def test_criterion_2_ctc_oracle_equivalence():
     tokens = ("<b>", "A", "B", "C")
     config = DecoderConfig(
         beam_size=10**6, alpha=0.0, beta=0.0, he_enabled=False,
-        nbest=10**6, rescore_enabled=False, char_topk=0,
+        nbest=10**6, char_topk=0,
     )
     start = time.perf_counter()
     for _ in range(120):

@@ -193,8 +193,7 @@ def test_decode_defaults_are_decoder_config_defaults():
     args = build_parser().parse_args(["decode", "--emissions", "e", "--vocab", "v", "--lexicon", "x", "--lm", "m"])
     parsed = {
         "beam_size": args.beam, "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-        "he_enabled": args.he, "nbest": args.nbest, "rescore_enabled": args.rescore,
-        "char_topk": args.char_topk,
+        "he_enabled": args.he, "nbest": args.nbest, "char_topk": args.char_topk,
     }
     defaults = DecoderConfig()
     assert parsed == {name: getattr(defaults, name) for name in parsed}
@@ -546,16 +545,22 @@ def test_compare_non_finite_config_number_exit_2(compare_world, tmp_path, capsys
 
 
 def test_compare_unknown_config_key_exit_2(compare_world, tmp_path, capsys):
-    # a misspelt "lexicon" would otherwise run lm_he without homophones
-    obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
-    obj["lexcon"] = obj.pop("lexicon")
-    config = tmp_path / "misspelt.json"
-    config.write_text(json.dumps(obj), encoding="utf-8")
-    code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert str(config) in err
-    assert "'lexcon'" in err
+    # a misspelt "lexicon" would otherwise run lm_he without homophones;
+    # "cin_dir" and "decoder.rescore_enabled" are keys that were removed
+    for name, edit in (
+        ("lexcon", lambda obj: obj.update(lexcon=obj.pop("lexicon"))),
+        ("cin_dir", lambda obj: obj.update(cin_dir=str(tmp_path))),
+        ("rescore_enabled", lambda obj: obj.update(decoder={"rescore_enabled": True})),
+    ):
+        obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
+        edit(obj)
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(obj), encoding="utf-8")
+        code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert f"'{name}'" in err
 
 
 @pytest.mark.parametrize("key, value, message", [

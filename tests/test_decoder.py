@@ -18,7 +18,7 @@ from homodecode.decoder import (
 from homodecode.emissions import EmissionMatrix, Vocabulary
 from homodecode.errors import EmptyEmissions, InvalidProbability
 from homodecode.lexicon import build_homophone_index, load_lexicon
-from homodecode.ngram_lm import load_arpa, score_increment
+from homodecode.ngram_lm import load_arpa, score_increment, score_sequence
 
 from helpers import write_arpa, write_lexicon, write_random_backoff_arpa
 from oracles import (
@@ -40,7 +40,6 @@ def oracle_config(**overrides):
         gamma=0.5,
         he_enabled=False,
         nbest=10**6,
-        rescore_enabled=False,
         char_topk=0,
     )
     base.update(overrides)
@@ -219,7 +218,7 @@ def test_he_flips_ranking_with_hand_computed_scores(zo2_setup):
     vocab, index, lm = zo2_setup
     matrix = matrix_from_linear([[0.1, 0.6, 0.3]])
     config = DecoderConfig(beam_size=20, alpha=0.45, beta=1.55, gamma=0.5,
-                           he_enabled=False, nbest=10, rescore_enabled=False)
+                           he_enabled=False, nbest=10)
     ln = matrix.log_probs.astype(np.float64)
     p_left, p_zu = float(ln[0][1]), float(ln[0][2])
 
@@ -232,7 +231,7 @@ def test_he_flips_ranking_with_hand_computed_scores(zo2_setup):
 
     with_he = decode(matrix, vocab, index, lm, DecoderConfig(
         beam_size=20, alpha=0.45, beta=1.55, gamma=0.5,
-        he_enabled=True, nbest=10, rescore_enabled=False))
+        he_enabled=True, nbest=10))
     fused = {e.transcript: e.fused_score for e in with_he.nbest}
     # injected 阻 gets max(organic ln 0.3, ext_mass + ln p) with
     # p = max(0.6, 0.5*0.6 + 0.5*0.3*1) = 0.6
@@ -257,7 +256,7 @@ def test_he_injects_all_wong4_homophones(tmp_path):
     row = [peak.get(i, 0.1 / 9) for i in range(10)]
     matrix = matrix_from_linear([row])
     config = DecoderConfig(beam_size=50, alpha=0.0, beta=0.0, he_enabled=True,
-                           nbest=50, rescore_enabled=False)
+                           nbest=50)
     result = decode(matrix, vocab, None if index is None else index, None, config)
     injected_from_peak = {r.injected for r in result.he_injections if r.source == "王"}
     assert injected_from_peak == set(chars) - {"王"}
@@ -276,8 +275,7 @@ def test_two_step_he_hand_computation(tmp_path):
     index = build_homophone_index(load_lexicon(lex_path))
     vocab = Vocabulary(("<b>", "左", "阻", "面"), 0)
     config = DecoderConfig(beam_size=10**6, alpha=0.0, beta=0.0, gamma=0.5,
-                           he_enabled=True, nbest=10**6, rescore_enabled=False,
-                           char_topk=0)
+                           he_enabled=True, nbest=10**6, char_topk=0)
     matrix = matrix_from_linear([[0.2, 0.5, 0.1, 0.2], [0.1, 0.1, 0.1, 0.7]])
     rows = matrix.log_probs.astype(np.float64)
     audit = []
@@ -314,7 +312,7 @@ def test_two_step_he_hand_computation(tmp_path):
 def test_he_disabled_matches_step_output(zo2_setup):
     vocab, index, lm = zo2_setup
     config = DecoderConfig(beam_size=5, alpha=0.45, beta=1.55, he_enabled=False,
-                           nbest=5, rescore_enabled=False)
+                           nbest=5)
     row = np.log(np.array([0.2, 0.5, 0.3]))
     start = [BeamHypothesis((), 0.0, NEG_INF)]
     stepped = extend_homophones(ctc_step(start, row, vocab, config, lm), row, None, vocab,
@@ -348,7 +346,7 @@ def test_he_off_bit_identical_to_plain_decoder(tmp_path):
         frames = rng.randint(1, 5)
         matrix = matrix_from_linear(random_linear_rows(rng, frames, 4))
         config = DecoderConfig(beam_size=3, alpha=0.45, beta=1.55, he_enabled=False,
-                               nbest=3, rescore_enabled=False)
+                               nbest=3)
         result_beam = []
         log_rows = matrix.log_probs.astype(np.float64)
 
@@ -388,20 +386,17 @@ def test_beam_monotone_degradation():
         assert small.nbest[0].fused_score <= large.nbest[0].fused_score + 1e-12
 
 
-def test_rescoring_reranks_nbest(tmp_path):
-    # a decode without an LM picks "a"; shallow fusion at alpha=0.45 (with
-    # rescoring on) picks "b", whose LM score is the stored unigram
+def test_fusion_reranks_against_decode_without_lm(tmp_path):
+    # a decode without an LM picks "a"; shallow fusion at alpha=0.45 picks
+    # "b", whose LM score is the stored unigram
     vocab = Vocabulary(("<b>", "a", "b"), 0)
     lm = load_arpa(write_arpa(tmp_path / "lm.arpa", {"a": -3.0, "b": -0.2}))
     matrix = matrix_from_linear([[0.2, 0.45, 0.35]])
-    fusion_off = DecoderConfig(beam_size=10, alpha=0.0, beta=0.0, he_enabled=False,
-                               nbest=5, rescore_enabled=False)
+    fusion_off = DecoderConfig(beam_size=10, alpha=0.0, beta=0.0, he_enabled=False, nbest=5)
     assert decode(matrix, vocab, None, None, fusion_off).best == "a"
-    rescored = decode(matrix, vocab, None, lm, DecoderConfig(
-        beam_size=10, alpha=0.45, beta=0.0, he_enabled=False, nbest=5,
-        rescore_enabled=True))
-    assert rescored.best == "b"
-    lm_scores = {e.transcript: e.lm_score for e in rescored.nbest}
+    fused = decode(matrix, vocab, None, lm, replace(fusion_off, alpha=0.45))
+    assert fused.best == "b"
+    lm_scores = {e.transcript: e.lm_score for e in fused.nbest}
     assert lm_scores["b"] == pytest.approx(-0.2, abs=1e-9)
 
 
@@ -418,7 +413,7 @@ def test_injected_sibling_lm_when_extension_merges_into_survivor(tmp_path):
         {("左", "阻"): -0.15, ("左", "左"): -0.4},
     ))
     config = DecoderConfig(beam_size=10, alpha=0.45, beta=0.0, he_enabled=True,
-                           nbest=10, rescore_enabled=False)
+                           nbest=10)
     lm_a = score_increment(lm, [], "左")
     survivor = BeamHypothesis((1, 2), math.log(0.2), math.log(0.1),
                               lm_score=lm_a + score_increment(lm, ["左"], "阻"))
@@ -427,23 +422,68 @@ def test_injected_sibling_lm_when_extension_merges_into_survivor(tmp_path):
     expanded = ctc_step([survivor, parent], row, vocab, config, lm)
     ext_row, ext_col = expanded.cell((1, 2))
     assert expanded.tokens[ext_col] == 2
-    assert expanded.inc[ext_row, ext_col] == score_increment(lm, ["左"], "阻")
+    assert expanded.lm_score[ext_row, ext_col] == survivor.lm_score
     out = extend_homophones(expanded, row, index, vocab, config, lm)
     siblings = {h.prefix: h for h in out}
     assert siblings[(1, 1)].lm_score == lm_a + score_increment(lm, ["左"], "左")
 
 
-def test_rescoring_reproduces_fused_score_with_fusion_on(zo2_setup):
-    # full-sequence rescoring must recompute exactly what incremental
-    # fusion accumulated: same additions in the same order
-    vocab, index, lm = zo2_setup
-    matrix = matrix_from_linear([[0.1, 0.6, 0.3], [0.5, 0.2, 0.3]])
-    no_rescore = decode(matrix, vocab, index, lm, DecoderConfig(rescore_enabled=False))
-    rescored = decode(matrix, vocab, index, lm, DecoderConfig(rescore_enabled=True))
-    by_transcript = {e.transcript: e for e in rescored.nbest}
-    for entry in no_rescore.nbest:
-        assert by_transcript[entry.transcript].fused_score == entry.fused_score
-        assert by_transcript[entry.transcript].lm_score == entry.lm_score
+def test_nbest_scores_are_exact_sums_over_he_worlds(tmp_path):
+    # a prefix's LM score is its parent's plus one increment however it
+    # was reached (extension, blank or repeat stay, homophone sibling), so
+    # every n-best entry carries score_sequence of its transcript, and the
+    # fused score of its parts, bit for bit
+    rng = random.Random(2304)
+    injections = 0
+    for world in range(8):
+        path = tmp_path / f"w{world}"
+        path.mkdir()
+        vocab, index, lm = _random_he_world(rng, path, backoff_lm=world % 2 == 1)
+        for _ in range(20):
+            matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(1, 6), vocab.size))
+            config = DecoderConfig(
+                beam_size=rng.randint(1, 8),
+                alpha=rng.uniform(0.0, 1.0),
+                beta=rng.uniform(-0.5, 2.0),
+                gamma=rng.random(),
+                nbest=rng.randint(1, 8),
+                char_topk=rng.choice((0, 2, vocab.size)),
+            )
+            result = decode(matrix, vocab, index, lm, config)
+            injections += len(result.he_injections)
+            for entry in result.nbest:
+                tokens = list(entry.transcript)
+                assert entry.lm_score.hex() == score_sequence(lm, tokens).hex()
+                fused = entry.acoustic_score + config.alpha * LN10 * entry.lm_score + config.beta * len(tokens)
+                assert entry.fused_score.hex() == fused.hex()
+    assert injections > 0
+
+
+def test_exact_tie_at_the_beam_cut_keeps_the_code_point_smaller_transcript(tmp_path):
+    # a seeded HE world whose last frame ranks 俎簧 and 簧俎 last in a beam
+    # one wider than beam_size, with equal fused scores; they tie only if
+    # every LM score, a homophone sibling's included, is the exact sum, and
+    # then the prune keeps the code-point-smaller 俎簧
+    rng = random.Random(1405)
+    vocab, index, lm = _random_he_world(rng, tmp_path, rng.random() < 0.5)
+    matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(2, 5), vocab.size))
+    config = DecoderConfig(
+        beam_size=rng.randint(1, 6),
+        alpha=rng.uniform(0.0, 1.0),
+        beta=rng.uniform(-0.5, 2.0),
+        gamma=rng.random(),
+        char_topk=rng.choice((0, 2, vocab.size)),
+    )
+    rows = matrix.log_probs
+    beam = [BeamHypothesis((), 0.0, NEG_INF)]
+    for row in rows[:-1]:
+        beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm)
+    wider = replace(config, beam_size=config.beam_size + 1)
+    wide = extend_homophones(ctc_step(beam, rows[-1], vocab, wider, lm), rows[-1], index, vocab, wider, lm)
+    assert [h.text(vocab) for h in wide[-2:]] == ["俎簧", "簧俎"]
+    assert wide[-2].fused_score.hex() == wide[-1].fused_score.hex()
+    nbest = decode(matrix, vocab, index, lm, config).nbest
+    assert [e.transcript for e in nbest] == [h.text(vocab) for h in wide[:-1]]
 
 
 def test_nbest_sorted_with_code_point_ties():
@@ -536,9 +576,9 @@ def _check_against_reference(tmp_path, rng, backoff_lm):
                 gamma=rng.random(),
                 he_enabled=rng.random() < 0.8,
                 nbest=rng.randint(1, 5),
-                rescore_enabled=rng.random() < 0.5,
-                char_topk=rng.choice((0, 1, 2, width - 2, width - 1, width + 3)),
             )
+            rng.random()  # once drew rescore_enabled; kept so that the seeded cases stay the same
+            config = replace(config, char_topk=rng.choice((0, 1, 2, width - 2, width - 1, width + 3)))
             use_lm = lm if rng.random() < 0.8 else None
             got = decode(matrix, vocab, index, use_lm, config)
             want = reference_decode(matrix, vocab, index, use_lm, config)
@@ -594,15 +634,12 @@ def test_he_step_builds_objects_only_for_survivors(tmp_path, monkeypatch):
     monkeypatch.setattr(NGramModel, "conditional_logprob",
                         lambda self, *args: lm_calls.append(args) or real_conditional(self, *args))
 
-    result = decode(matrix, vocab, index, lm, replace(config, rescore_enabled=False))
+    result = decode(matrix, vocab, index, lm, config)
     assert len(built) == matrix.frames
     assert len(result.he_injections) > 100 * config.beam_size * matrix.frames
     assert all(count <= 2 * config.beam_size for count in built), built
+    # the LM is read through logprob_row alone, and nothing rescores the n-best
     assert lm_calls == []
-
-    rescored = decode(matrix, vocab, index, lm, config)
-    # rescoring queries once per token of each n-best transcript, and nothing else does
-    assert len(lm_calls) == sum(len(entry.transcript) for entry in rescored.nbest)
 
 
 def test_frame_candidates_match_full_sort_on_ties_and_non_finite():
@@ -674,9 +711,9 @@ def test_exact_search_bit_identical_to_reference_at_v300(tmp_path):
                 gamma=rng.random(),
                 he_enabled=he_enabled,
                 nbest=beam_size,
-                rescore_enabled=rng.random() < 0.5,
                 char_topk=0,
             )
+            rng.random()  # once drew rescore_enabled; kept so that the seeded cases stay the same
             got = decode(matrix, vocab, index, lm, config)
             assert _hex_result(got) == _hex_result(reference_decode(matrix, vocab, index, lm, config))
             assert bool(got.he_injections) == he_enabled
@@ -685,10 +722,10 @@ def test_exact_search_bit_identical_to_reference_at_v300(tmp_path):
     assert all(count > 0 for count in collisions), collisions
 
 
-def test_collision_record_takes_lm_score_of_first_creator_in_beam_order(tmp_path):
+def test_collision_record_is_the_same_in_either_beam_order(tmp_path):
     # "左阻" is in the beam and so is its parent "左": the record for 左阻
     # is created by whichever comes first (its blank/repeat stay, or the
-    # parent's extension by 阻) and keeps that creator's LM score; the
+    # parent's extension by 阻), and both give it lm(左) + P(阻|左); the
     # masses add: p_blank = .3 * .2, p_nonblank = .1 * .5 + (.3 + .1) * .5
     vocab = Vocabulary(("<b>", "左", "阻"), 0)
     lm = load_arpa(write_arpa(
@@ -696,17 +733,18 @@ def test_collision_record_takes_lm_score_of_first_creator_in_beam_order(tmp_path
         {"左": (-1.0, -0.2), "阻": (-0.5, -0.1)},
         {("左", "阻"): -0.15},
     ))
-    config = DecoderConfig(beam_size=10, alpha=0.45, beta=0.0, he_enabled=False, rescore_enabled=False)
+    config = DecoderConfig(beam_size=10, alpha=0.45, beta=0.0, he_enabled=False)
     lm_a = score_increment(lm, [], "左")
-    child = BeamHypothesis((1, 2), math.log(0.2), math.log(0.1), lm_score=-3.0)
+    lm_ab = lm_a + score_increment(lm, ["左"], "阻")
+    child = BeamHypothesis((1, 2), math.log(0.2), math.log(0.1), lm_score=lm_ab)
     parent = BeamHypothesis((1,), math.log(0.3), math.log(0.1), lm_score=lm_a)
     row = np.log(np.array([0.2, 0.3, 0.5]))
     child_first = {h.prefix: h for h in extend_homophones(
         ctc_step([child, parent], row, vocab, config, lm), row, None, vocab, config, lm)}[(1, 2)]
     parent_first = {h.prefix: h for h in extend_homophones(
         ctc_step([parent, child], row, vocab, config, lm), row, None, vocab, config, lm)}[(1, 2)]
-    assert child_first.lm_score == -3.0
-    assert parent_first.lm_score == lm_a + score_increment(lm, ["左"], "阻")
-    for rec in (child_first, parent_first):
-        assert rec.p_blank == pytest.approx(math.log(0.3 * 0.2), abs=1e-12)
-        assert rec.p_nonblank == pytest.approx(math.log(0.1 * 0.5 + 0.4 * 0.5), abs=1e-12)
+    hex_record = lambda h: (h.prefix, *(x.hex() for x in (h.p_blank, h.p_nonblank, h.lm_score, h.fused_score)))
+    assert hex_record(child_first) == hex_record(parent_first)
+    assert child_first.lm_score == lm_ab
+    assert child_first.p_blank == pytest.approx(math.log(0.3 * 0.2), abs=1e-12)
+    assert child_first.p_nonblank == pytest.approx(math.log(0.1 * 0.5 + 0.4 * 0.5), abs=1e-12)

@@ -118,7 +118,7 @@ def test_emissions_bad_magic(tmp_path):
 def test_emissions_bad_version(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.5]]), version=2)
-    with pytest.raises(MalformedLine, match=r": bad magic b'EMAT', expected b'EMAT'$") as exc:
+    with pytest.raises(MalformedLine, match=r": unsupported EMAT version 2, expected 1$") as exc:
         load_emissions(path, vocab)
     assert (exc.value.path, exc.value.line_no) == (path, 0)
 

@@ -206,7 +206,7 @@ def test_uw_variant_rewrites_hypotheses(small_world, tmp_path):
         vocab=vocab,
         index=index,
         lm=lm,
-        decoder_config=DecoderConfig(alpha=0.0, rescore_enabled=False),
+        decoder_config=DecoderConfig(alpha=0.0),
         uw_pairs=[pair],
         uw_freq=freq,
         uw_emb=emb,
@@ -236,7 +236,7 @@ def test_uw_on_references_scores_against_the_canonical_form(small_world):
         vocab=vocab,
         index=index,
         lm=lm,
-        decoder_config=DecoderConfig(alpha=0.0, rescore_enabled=False),
+        decoder_config=DecoderConfig(alpha=0.0),
         uw_pairs=[UnifiedPair("左", "阻", 0.0, (("m", 0.25),), 0.95)],
         uw_freq=FrequencyTable({"阻": 10, "左": 1}),
         uw_emb=emb,

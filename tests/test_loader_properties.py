@@ -8,6 +8,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 
 import numpy as np
@@ -251,9 +252,9 @@ def test_tool_config_loads_or_format_error(scratch, text):
     assert all(map(math.isfinite, (config.decoder.alpha, config.decoder.beta, config.uw.cosine_min)))
 
 
-# characters a lexicon file can hold: no tab or line break; "#" alone
-# would read back as a comment, so save refuses it
-LEXICON_CHARS = st.one_of(st.just("#"), st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)))
+# any character; save refuses "#", which would read back as a comment,
+# and a tab or a line break, which would split the record
+LEXICON_CHARS = st.one_of(st.sampled_from("#\t\n\r"), st.characters(blacklist_categories=("Cs",)))
 JYUTPING = st.builds(JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max_size=4), st.integers(1, 6))
 
 
@@ -261,8 +262,9 @@ JYUTPING = st.builds(JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max
 @given(entries=st.lists(st.tuples(LEXICON_CHARS, JYUTPING), max_size=6, unique=True))
 def test_lexicon_round_trip(tmp_path_factory, entries):
     path = str(tmp_path_factory.mktemp("lexicon") / "lexicon.tsv")
-    if any(char == "#" for char, _ in entries):
-        with pytest.raises(ValueError, match="'#'"):
+    refused = [char for char, _ in entries if char in "#\t\n\r"]
+    if refused:
+        with pytest.raises(ValueError, match=re.escape(repr(refused[0]))):
             save_lexicon(Lexicon(tuple(entries)), path)
         assert not os.path.exists(path)
         return
@@ -273,10 +275,10 @@ def test_lexicon_round_trip(tmp_path_factory, entries):
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 PAIRS = st.builds(
     UnifiedPair,
-    variant=st.text(alphabet="裏裡帳賬a#", min_size=1, max_size=2),
-    canonical=st.text(alphabet="裏裡帳賬a", min_size=1, max_size=2),
+    variant=st.text(alphabet="裏裡帳賬a#\t\n\r", min_size=1, max_size=2),
+    canonical=st.text(alphabet="裏裡帳賬a\t\n\r", min_size=1, max_size=2),
     jyutping_distance=FINITE,
-    glyph_distances=st.lists(st.tuples(st.text(alphabet="mn_1", max_size=3), FINITE), max_size=2).map(tuple),
+    glyph_distances=st.lists(st.tuples(st.text(alphabet="mn_1=;\t\n\r", max_size=3), FINITE), max_size=2).map(tuple),
     cosine=FINITE,
 )
 
@@ -285,8 +287,14 @@ PAIRS = st.builds(
 @given(pairs=st.lists(PAIRS, max_size=4))
 def test_pairs_round_trip(tmp_path_factory, pairs):
     path = str(tmp_path_factory.mktemp("pairs") / "pairs.tsv")
-    if any(p.variant.startswith("#") for p in pairs):
-        with pytest.raises(ValueError, match="'#"):
+    refused = [
+        p for p in pairs
+        if p.variant.startswith("#")
+        or set("\t\n\r") & set(p.variant + p.canonical)
+        or set("=;\t\n\r") & set("".join(method for method, _ in p.glyph_distances))
+    ]
+    if refused:
+        with pytest.raises(ValueError, match=re.escape(f"pair {refused[0].variant!r} -> {refused[0].canonical!r}")):
             save_pairs(pairs, path)
         assert not os.path.exists(path)
         return
