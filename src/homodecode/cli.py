@@ -1,4 +1,4 @@
-"""Command-line entry point: decode / uw discover / uw apply / eval / compare.
+"""Command-line entry point: decode / uw discover / uw apply / compare.
 
 Every command is reproducible: the same inputs and flags produce
 byte-identical outputs.  Malformed input files exit with status 2 and a
@@ -286,16 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", help="write rewrite audit as JSON-lines")
     p.set_defaults(func=cmd_uw_apply)
 
-    for name, help_text in (
-        ("eval", "decode a manifest and report CER per method variant"),
-        ("compare", "compare method variants over a manifest"),
-    ):
-        p = sub.add_parser(name, help=help_text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-        p.add_argument("--manifest", required=True, help="JSON-lines utterance manifest")
-        p.add_argument("--config", required=True, help="tool config JSON")
-        p.add_argument("--variants", default=None,
-                       help="comma-separated variant list (default: from config)")
-        p.set_defaults(func=cmd_compare)
+    p = sub.add_parser(
+        "compare",
+        help="compare method variants over a manifest",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    )
+    p.add_argument("--manifest", required=True, help="JSON-lines utterance manifest")
+    p.add_argument("--config", required=True, help="tool config JSON")
+    p.add_argument("--variants", default=None, help="comma-separated variant list (default: from config)")
+    p.set_defaults(func=cmd_compare)
 
     return parser
 

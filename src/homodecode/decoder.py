@@ -197,7 +197,9 @@ class BeamExpansion:
     a stay precedes the extension merged into it, moved maps the cell's
     flat index to the stay's position (a cell at flat index f sits at
     2 * f + 1, a stay before it at 2 * f).  len() is the number of
-    distinct prefixes.
+    distinct prefixes.  extend_homophones places homophone siblings in
+    cells of this grid, widened by a column per homophone that is not a
+    frame candidate; of the expansion it changes only stays' p_nonblank.
     """
 
     parents: list[BeamHypothesis]
@@ -364,33 +366,6 @@ def _injection_table(
     return entries, records
 
 
-def _merge_siblings(
-    h_ids: np.ndarray,
-    log_ps: np.ndarray,
-    first: np.ndarray,
-    size: np.ndarray,
-    src_parent: np.ndarray,
-    src_mass: np.ndarray,
-    width: int,
-) -> tuple[np.ndarray, ...]:
-    """Every proposed sibling as arrays, merged per (parent, homophone).
-
-    Source i (an extension cell) proposes one sibling per entry of its
-    injection table, h_ids and log_ps [first[i] : first[i] + size[i]],
-    keyed parent * width + homophone, with mass src_mass[i] + log
-    adjusted probability.  Returns, per distinct key in ascending order,
-    the key and the largest mass of all its proposals.
-    """
-    src = np.repeat(np.arange(size.shape[0]), size)
-    entry = np.arange(src.shape[0]) + np.repeat(first - (np.cumsum(size) - size), size)
-    keys = src_parent.astype(np.int64)[src] * width + h_ids[entry]
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    heads = np.flatnonzero(np.concatenate(([True], sorted_keys[1:] != sorted_keys[:-1])))
-    contrib = src_mass[src] + log_ps[entry]
-    return sorted_keys[heads], np.maximum.reduceat(contrib[order], heads)
-
-
 def extend_homophones(
     hyps: BeamExpansion,
     frame: np.ndarray,
@@ -417,12 +392,18 @@ def extend_homophones(
     character, so each distinct source gets one injection table per
     call, shared by every cell it extends.  Sources and their audit
     records follow the order in which ctc_step created the records.
-    Siblings are scored as arrays: a sibling reached from several
-    sources (or several cells of one parent) keeps the largest non-blank
-    mass, one reached organically too is merged into that prefix, and a
-    sibling's LM score is its parent's plus the increment from the
-    expansion's logprob_row of the parent.  Only prefixes scoring at
-    least the beam_size-th best fused score become BeamHypothesis objects.
+    A sibling is one more cell of the expansion's (parent x token) grid,
+    widened by a column for each offered homophone that is not a frame
+    candidate; such a column has no organic mass, and its LM score is
+    the parent's plus that parent's logprob_row value, as ctc_step adds
+    it.  Every offer is scattered into one sibling grid by max, so a
+    sibling reached from several sources (or several cells of one
+    parent) keeps the largest non-blank mass.  A sibling that is a
+    prefix already in the beam is merged into that prefix by max and
+    cleared from the grid; every other sibling, and every fresh cell,
+    enters the prune with the larger of its organic and sibling mass.
+    Only prefixes scoring at least the beam_size-th best fused score
+    become BeamHypothesis objects.
     """
     exp = hyps  # named hyps, as before, for callers that pass it by keyword
     if not config.he_enabled or index is None:
@@ -453,36 +434,38 @@ def extend_homophones(
         for start, stop in zip(first[src_col].tolist(), (first + size)[src_col].tolist()):
             audit.extend(records[start:stop])
 
-    h_ids = np.array([h_idx for h_idx, _ in entries], dtype=np.intp)
-    log_ps = np.array([log_p for _, log_p in entries])
-    sib_keys, p_nonblank = _merge_siblings(
-        h_ids, log_ps, first[src_col], size[src_col], src // width, exp.mass.ravel()[src], vocab.size
-    )
-    sib_row, sib_token = np.divmod(sib_keys, vocab.size)
-    # a sibling that is an organic prefix too is merged into it
-    col = exp.columns[sib_token]
-    hit = (col >= 0) & exp.fresh[sib_row, col]
-    row, col, mass = sib_row[hit], col[hit], p_nonblank[hit]
-    exp.p_nonblank[row, col] = np.where(mass > exp.p_nonblank[row, col], mass, exp.p_nonblank[row, col])
-    by_key = {exp.rows[p[:-1]] * vocab.size + p[-1]: rec for p, rec in exp.stays.items() if p and p[:-1] in exp.rows}
-    if by_key:
-        on_stay = np.isin(sib_keys, np.fromiter(by_key, dtype=np.int64, count=len(by_key)))
-        for key, mass in zip(sib_keys[on_stay].tolist(), p_nonblank[on_stay].tolist()):
-            rec = by_key[key]
-            if mass > rec.p_nonblank:
-                rec.p_nonblank = mass
-        hit |= on_stay
-    sib_row, sib_token, p_nonblank = (column[~hit] for column in (sib_row, sib_token, p_nonblank))
+    # every proposal as arrays: source cell src offers homophone h_id at log adjusted probability log_p
+    n = size[src_col]
+    entry = np.arange(n.sum()) + np.repeat(first[src_col] - (np.cumsum(n) - n), n)
+    h_id = np.array([h for h, _ in entries], dtype=np.intp)[entry]
+    log_p = np.array([p for _, p in entries])[entry]
+    src = np.repeat(src, n)
 
-    inc = np.zeros(sib_row.shape[0])
+    # widen the grid by a column per offered homophone that is no frame candidate: organic mass -inf
+    extra = np.unique(h_id[exp.columns[h_id] < 0])
+    columns = exp.columns.copy()
+    columns[extra] = width + np.arange(extra.shape[0])
+    tokens = np.concatenate((exp.tokens, extra))
+    inc = np.zeros((len(exp.parents), extra.shape[0]))
     if exp.lm_rows is not None:
-        sib_pos = lm.row_indices(vocab.tokens)[sib_token]
-        for i, lm_row in enumerate(exp.lm_rows):
-            at = sib_row == i
-            inc[at] = lm_row[sib_pos[at]]
-    parent_lm = np.array([h.lm_score for h in exp.parents])
-    siblings = (sib_row, sib_token, p_nonblank, parent_lm[sib_row] + inc)
-    return _select(exp, tuple(map(np.concatenate, zip(exp.fresh_cells(), siblings))), vocab, config)
+        positions = lm.row_indices(vocab.tokens)[extra]
+        inc = np.array([lm_row[positions] for lm_row in exp.lm_rows])
+    lm_score = np.hstack((exp.lm_score, np.array([h.lm_score for h in exp.parents])[:, None] + inc))
+    organic = np.hstack((exp.p_nonblank, np.full(inc.shape, NEG_INF)))
+    new = np.hstack((exp.fresh, np.zeros(inc.shape, dtype=bool)))
+
+    sibling = np.full(organic.shape, NEG_INF)
+    np.maximum.at(sibling, (src // width, columns[h_id]), exp.mass.ravel()[src] + log_p)
+    for prefix, stay in exp.stays.items():
+        i = exp.rows.get(prefix[:-1], -1) if prefix else -1
+        c = int(columns[prefix[-1]]) if i >= 0 else -1
+        if c >= 0:  # this sibling is a prefix in the beam already
+            stay.p_nonblank = max(stay.p_nonblank, float(sibling[i, c]))
+            sibling[i, c] = NEG_INF
+    flat = np.flatnonzero(new | (sibling != NEG_INF))
+    row, col = np.divmod(flat, tokens.shape[0])
+    p_nonblank = np.maximum(organic, sibling).ravel()[flat]
+    return _select(exp, (row, tokens[col], p_nonblank, lm_score.ravel()[flat]), vocab, config)
 
 
 def decode(

@@ -9,7 +9,7 @@ across concurrent decodes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -57,12 +57,14 @@ class HomophoneIndex:
 
     by_code maps the code text form ("zo2") to its character set, each set
     deduplicated and ordered by Unicode code point.  pron_count gives the
-    number of distinct codes listing a character (its polyphone count).
+    number of distinct codes listing a character (its polyphone count),
+    and codes_by_char those codes, sorted.  build_homophone_index
+    builds all three.
     """
 
     by_code: dict[str, tuple[str, ...]]
     pron_count: dict[str, int]
-    codes_by_char: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    codes_by_char: dict[str, tuple[str, ...]]
 
     def homophones_of(self, char: str) -> tuple[str, ...]:
         """Union of all characters sharing any code with char, minus char."""
@@ -116,14 +118,20 @@ TSV_BREAKS = frozenset("\t\n\r")
 
 def save_lexicon(lex: Lexicon, path: str) -> None:
     """Write entries back as TSV; round-trips through load_lexicon.  An
-    entry whose character is "#" would read back as a comment line, and
-    one whose character is a tab or a line break would split, so either
-    raises ValueError before anything is written."""
+    entry that would not read back as itself raises ValueError naming it
+    before anything is written: a character that is not one Unicode
+    scalar, is "#" (a comment line) or is a tab or a line break (a split
+    record), or a code that JyutpingCode.parse does not return as is."""
     for char, code in lex.entries:
-        if char.startswith("#"):
-            raise ValueError(f"lexicon entry {char!r} {code.text!r} would read back as a comment")
-        if TSV_BREAKS.intersection(char):
-            raise ValueError(f"lexicon entry {char!r} {code.text!r} holds a tab or a line break")
+        if len(char) != 1 or char == "#" or char in TSV_BREAKS:
+            raise ValueError(f"lexicon entry {char!r} {code.text!r}: character must be one Unicode scalar, "
+                             "not '#', a tab or a line break")
+        try:
+            parsed = JyutpingCode.parse(code.text)
+        except MalformedLine:
+            parsed = None
+        if parsed != code:
+            raise ValueError(f"lexicon entry {char!r} {code!r}: code {code.text!r} does not parse back to it")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for char, code in lex.entries:
             fh.write(f"{char}\t{code.text}\n")

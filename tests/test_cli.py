@@ -506,16 +506,6 @@ def test_compare_perfect_hypotheses_zero_cer(compare_world, capsys):
         assert float(line.split("\t")[1]) == 0.0
 
 
-def test_eval_alias_matches_compare(compare_world, capsys):
-    main(["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"],
-          "--variants", "baseline,lm"])
-    compare_out = capsys.readouterr().out
-    main(["eval", "--manifest", compare_world["manifest"], "--config", compare_world["config"],
-          "--variants", "baseline,lm"])
-    eval_out = capsys.readouterr().out
-    assert compare_out == eval_out
-
-
 def test_compare_unknown_variant_exit_2(compare_world, capsys):
     code = main(["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"],
                  "--variants", "baseline,nope"])

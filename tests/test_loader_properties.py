@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homodecode.cli import ToolConfig
@@ -252,17 +252,43 @@ def test_tool_config_loads_or_format_error(scratch, text):
     assert all(map(math.isfinite, (config.decoder.alpha, config.decoder.beta, config.uw.cosine_min)))
 
 
-# any character; save refuses "#", which would read back as a comment,
-# and a tab or a line break, which would split the record
-LEXICON_CHARS = st.one_of(st.sampled_from("#\t\n\r"), st.characters(blacklist_categories=("Cs",)))
-JYUTPING = st.builds(JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max_size=4), st.integers(1, 6))
+# valid lexicon entries, and in half the lists one more entry that may
+# hold any character or short string and a code with any syllable and
+# tone.  Save refuses what would not read back as itself: a character
+# field that is not one scalar, is "#" (a comment) or a tab or a line
+# break (a split record), and a code whose syllable is not lowercase a-z
+# or whose tone is outside 1..6
+SCALARS = st.characters(blacklist_categories=("Cs",))
+VALID_ENTRY = st.tuples(SCALARS.filter(lambda c: c not in "#\t\n\r"), st.builds(
+    JyutpingCode, st.text(alphabet="abgjlmnwz", min_size=1, max_size=4), st.integers(1, 6)))
+ANY_ENTRY = st.tuples(
+    st.one_of(st.sampled_from("#\t\n\r"), SCALARS, st.text(SCALARS, max_size=2)),
+    st.builds(JyutpingCode, st.text(alphabet="abgjlmnwzZ", max_size=4), st.integers(-1, 10)),
+)
+
+
+@st.composite
+def lexicon_entries(draw):
+    entries = draw(st.lists(VALID_ENTRY, max_size=5, unique=True))
+    extra = draw(st.none() | ANY_ENTRY)
+    if extra is not None and extra not in entries:
+        entries.insert(draw(st.integers(0, len(entries))), extra)
+    return entries
+
+def _reads_back(char: str, code: JyutpingCode) -> bool:
+    return (len(char) == 1 and char not in "#\t\n\r"
+            and re.fullmatch("[a-z]+", code.syllable) is not None and 1 <= code.tone <= 6)
 
 
 @FUZZ
-@given(entries=st.lists(st.tuples(LEXICON_CHARS, JYUTPING), max_size=6, unique=True))
+@given(entries=lexicon_entries())
+@example(entries=[("ab", JyutpingCode("zo", 2))])
+@example(entries=[("", JyutpingCode("zo", 2))])
+@example(entries=[("左", JyutpingCode("zo", 9))])
+@example(entries=[("左", JyutpingCode("Zo", 2))])
 def test_lexicon_round_trip(tmp_path_factory, entries):
     path = str(tmp_path_factory.mktemp("lexicon") / "lexicon.tsv")
-    refused = [char for char, _ in entries if char in "#\t\n\r"]
+    refused = [char for char, code in entries if not _reads_back(char, code)]
     if refused:
         with pytest.raises(ValueError, match=re.escape(repr(refused[0]))):
             save_lexicon(Lexicon(tuple(entries)), path)
