@@ -5,6 +5,7 @@ from .decoder import (
     BeamHypothesis,
     DecodeResult,
     DecoderConfig,
+    HEAudit,
     HEInjection,
     NBestEntry,
     ctc_step,

@@ -19,7 +19,10 @@ transcript code-point order so repeated decodes are bit-identical.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,7 +56,9 @@ class DecoderConfig:
     candidate in one array pass, so exact search without homophone
     extension is practical at V = 32k; with it, every candidate becomes
     an injection source, so this bound is what keeps a 32k-character
-    vocabulary fast.
+    vocabulary fast.  gamma weighs a homophone's own emission against its
+    source's in homophone_adjusted_prob; it is checked here, once, as the
+    search computes that formula as arrays without the function's checks.
     """
 
     beam_size: int = 20
@@ -104,14 +109,108 @@ class BeamHypothesis:
 class HEInjection:
     """Audit record: at step, source char's homophone was injected with prob.
 
-    One record is logged per injection, but all injections with the same
-    (step, source, injected) share one record object.
+    One record stands for every injection of injected from source at
+    step, however many beam cells offered it; prob is the adjusted
+    probability of homophone_adjusted_prob.  HEAudit builds the records
+    when it is first read.
     """
 
     step: int
     source: str
     injected: str
     prob: float
+
+
+class _Edges(NamedTuple):
+    """A source character's injection edges: its in-vocabulary homophones
+    in homophones_of order, as vocabulary ids, polyphone discounts
+    max(0, 1 - log10 N) and characters."""
+
+    ids: np.ndarray
+    discount: np.ndarray
+    chars: tuple[str, ...]
+    source: str
+
+
+class HEAudit(Sequence):
+    """Every homophone injection of a decode, in decode order, as an
+    immutable sequence of HEInjection records.
+
+    extend_homophones adds one frame at a time: the frame's injection
+    table (per source column, its kept homophones and their adjusted
+    probabilities) and, in order, the column of every beam cell that
+    injected from it.  Each such cell contributes its column's table in
+    full, so the sequence holds one entry per injection, and entries for
+    the same (step, source, injected) are the same object.  The records
+    are built when the audit is first read; a decode whose audit is never
+    read builds none.  len() is O(1), and tally() gives each distinct
+    record once with the number of entries it has.  Iteration order,
+    ==, hash and len() are those of the tuple of the same records, so an
+    audit without injections equals ().
+    """
+
+    def __init__(self) -> None:
+        self._frames: list[tuple] = []  # (step, edges per column, keep, prob, column of each cell)
+        self._ends: list[int] = []  # entries up to and including each frame
+        self._tables: list[list[tuple[HEInjection, ...]] | None] = []  # built on first read
+
+    def _add_frame(self, step: int, edges: list[_Edges], keep: np.ndarray, prob: np.ndarray,
+                   cells: np.ndarray, entries: int) -> None:
+        self._frames.append((step, edges, keep, prob, cells))
+        self._ends.append(len(self) + entries)
+        self._tables.append(None)
+
+    def _records(self, f: int) -> list[tuple[HEInjection, ...]]:
+        """Frame f's table: the records of each column, built once."""
+        tables = self._tables[f]
+        if tables is None:
+            step, edges, keep, prob, _ = self._frames[f]
+            kept, probs = iter(keep.tolist()), iter(prob.tolist())
+            tables = self._tables[f] = [
+                tuple(HEInjection(step, edge.source, h, p) for h, k, p in zip(edge.chars, kept, probs) if k)
+                for edge in edges
+            ]
+        return tables
+
+    def __len__(self) -> int:
+        return self._ends[-1] if self._ends else 0
+
+    def __iter__(self) -> Iterator[HEInjection]:
+        for f, (_, _, _, _, cells) in enumerate(self._frames):
+            tables = self._records(f)
+            for k in cells.tolist():
+                yield from tables[k]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self)[i]
+        i = range(len(self))[i]  # negative indices, IndexError and TypeError as a tuple has them
+        f = bisect_right(self._ends, i)
+        i -= self._ends[f - 1] if f else 0
+        tables, cells = self._records(f), self._frames[f][4]
+        sizes = np.array([len(table) for table in tables], dtype=np.intp)[cells]
+        n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
+        return tables[cells[n]][i - int(sizes[:n].sum())]
+
+    def tally(self) -> Iterator[tuple[HEInjection, int]]:
+        """(record, multiplicity) for every distinct record, by frame and
+        then column; the multiplicities sum to len()."""
+        for f, (_, edges, _, _, cells) in enumerate(self._frames):
+            uses = np.bincount(cells, minlength=len(edges)).tolist()
+            for table, m in zip(self._records(f), uses):
+                for record in table:
+                    yield record, m
+
+    def __eq__(self, other):
+        if isinstance(other, (HEAudit, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"HEAudit(<{len(self)} injections>)"
 
 
 @dataclass(frozen=True)
@@ -126,12 +225,13 @@ class NBestEntry:
 class DecodeResult:
     """The n-best list and every homophone injection in decode order.
 
-    he_injections holds one entry per injection; entries for the same
-    (step, source, injected) are the same HEInjection object.
+    he_injections is an HEAudit: one entry per injection, entries for the
+    same (step, source, injected) the same HEInjection object, built only
+    when read; it equals () when nothing was injected.
     """
 
     nbest: tuple[NBestEntry, ...]
-    he_injections: tuple[HEInjection, ...]
+    he_injections: HEAudit
 
     @property
     def best(self) -> str:
@@ -144,7 +244,9 @@ def homophone_adjusted_prob(a_p: float, q: float, n_pron: int, gamma: float) -> 
     Mixes the source character's acoustic probability a_p with the
     homophone's own emission q, discounted by how many pronunciations
     the homophone has (max(0, 1 - log10 N)), then floors the result at
-    a_p so injection never scores below the original.
+    a_p so injection never scores below the original.  This is the scalar
+    reference; extend_homophones computes the same operations for a whole
+    frame as arrays.
     """
     if not 0.0 <= a_p <= 1.0:
         raise InvalidProbability("a_p", a_p)
@@ -332,38 +434,15 @@ def ctc_step(
     return exp
 
 
-def _injection_table(
-    c_idx: int,
-    lp: np.ndarray,
-    index: HomophoneIndex,
-    vocab: Vocabulary,
-    config: DecoderConfig,
-    step: int,
-) -> tuple[list[tuple[int, float]], list[HEInjection]]:
-    """This frame's injections for source character c_idx.
-
-    Returns (homophone index, log adjusted probability) per
-    in-vocabulary homophone with a positive adjusted probability, and the
-    matching audit records, in homophones_of order.
-    """
-    source = vocab.tokens[c_idx]
-    entries: list[tuple[int, float]] = []
-    records: list[HEInjection] = []
-    homophones = index.homophones_of(source)
-    if not homophones:
-        return entries, records
-    a_p = min(1.0, math.exp(float(lp[c_idx])))
-    for h_char in homophones:
-        h_idx = vocab.index_of(h_char)
-        if h_idx is None:
-            continue
-        q = min(1.0, math.exp(float(lp[h_idx])))
-        p = homophone_adjusted_prob(a_p, q, index.pron_count[h_char], config.gamma)
-        if p <= 0.0:
-            continue
-        entries.append((h_idx, math.log(p)))
-        records.append(HEInjection(step, source, h_char, p))
-    return entries, records
+def _source_edges(c: int, index: HomophoneIndex, vocab: Vocabulary) -> _Edges:
+    """The edges of vocabulary id c; a homophone's N is its number of
+    codes, and its discount is computed as homophone_adjusted_prob does."""
+    source = vocab.tokens[c]
+    chars = tuple(h for h in index.homophones_of(source) if h in vocab.index)
+    ids = np.array([vocab.index[h] for h in chars], dtype=np.intp)
+    discount = np.array([max(0.0, 1.0 - math.log10(len(index.codes_by_char[h]))) for h in chars], dtype=np.float64)
+    ids.flags.writeable = discount.flags.writeable = False  # shared by every decode with this vocabulary
+    return _Edges(ids, discount, chars, source)
 
 
 def extend_homophones(
@@ -374,7 +453,7 @@ def extend_homophones(
     config: DecoderConfig,
     lm: NGramModel | None = None,
     step: int = 0,
-    audit: list[HEInjection] | None = None,
+    audit: HEAudit | None = None,
 ) -> list[BeamHypothesis]:
     """Inject homophone siblings into this step's expansion and prune it.
 
@@ -390,8 +469,15 @@ def extend_homophones(
 
     The adjusted probabilities depend only on the frame and the source
     character, so each distinct source gets one injection table per
-    call, shared by every cell it extends.  Sources and their audit
-    records follow the order in which ctc_step created the records.
+    call, shared by every cell it extends.  A source's edges (homophone
+    ids, discounts, characters) are built on its first use and kept in
+    index.vocab_cache for vocab; one frame's tables are computed for all
+    source columns at once, as arrays, equal bit for bit to
+    homophone_adjusted_prob of min(1, exp(lp[source])) and
+    min(1, exp(lp[h])), which is never called here.  audit, if given,
+    receives the frame's tables and the column of every source cell in
+    the order in which ctc_step created the records; it builds no
+    HEInjection until read.
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
@@ -411,34 +497,45 @@ def extend_homophones(
     lp = np.asarray(frame)
     width = exp.tokens.shape[0]
     live = exp.mass != NEG_INF
+    cols = np.flatnonzero(live.any(axis=0))  # the source columns
+    if not cols.shape[0]:
+        return _select(exp, exp.fresh_cells(), vocab, config)
     src = np.flatnonzero(live)  # row-major
     if exp.moved:  # cells merged into a stay created before them
         order = 2 * src + 1
         order[np.searchsorted(src, list(exp.moved))] = list(exp.moved.values())
         src = src[np.argsort(order)]
-    # every live column's injection table and audit records, concatenated in column order
-    size = np.zeros(width, dtype=np.intp)
-    entries: list[tuple[int, float]] = []
-    records: list[HEInjection] = []
-    for k in np.flatnonzero(live.any(axis=0)).tolist():
-        table, table_records = _injection_table(int(exp.tokens[k]), lp, index, vocab, config, step)
-        size[k] = len(table)
-        entries += table
-        records += table_records
-    first = np.cumsum(size) - size
-    src = src[size[src % max(width, 1)] > 0]
-    src_col = src % max(width, 1)
+
+    # every source column's edges, concatenated in column order, with their adjusted probabilities;
+    # exp and log are math's, as numpy's can differ in the last bit, and the rest is exact as arrays
+    cache = index.vocab_cache(vocab.tokens)
+    edges = []
+    for c in exp.tokens[cols].tolist():
+        edge = cache.get(c)
+        if edge is None:
+            edge = cache[c] = _source_edges(c, index, vocab)
+        edges.append(edge)
+    ids = np.concatenate([edge.ids for edge in edges])
+    counts = np.array([edge.ids.shape[0] for edge in edges], dtype=np.intp)
+    a_p = np.repeat(np.minimum([math.exp(x) for x in lp[exp.tokens[cols]].tolist()], 1.0), counts)
+    q = np.minimum([math.exp(x) for x in lp[ids].tolist()], 1.0)
+    discount = np.concatenate([edge.discount for edge in edges])
+    prob = np.maximum(a_p, (1.0 - config.gamma) * a_p + config.gamma * q * discount)
+    keep = prob > 0.0
+    size = np.bincount(np.repeat(cols, counts)[keep], minlength=width)  # kept edges per column
+    src = src[size[src % width] > 0]
     if not src.shape[0]:
         return _select(exp, exp.fresh_cells(), vocab, config)
+    src_col = src % width
+    n = size[src_col]
     if audit is not None:
-        for start, stop in zip(first[src_col].tolist(), (first + size)[src_col].tolist()):
-            audit.extend(records[start:stop])
+        audit._add_frame(step, edges, keep, prob, np.searchsorted(cols, src_col), int(n.sum()))
 
     # every proposal as arrays: source cell src offers homophone h_id at log adjusted probability log_p
-    n = size[src_col]
+    first = np.cumsum(size) - size
     entry = np.arange(n.sum()) + np.repeat(first[src_col] - (np.cumsum(n) - n), n)
-    h_id = np.array([h for h, _ in entries], dtype=np.intp)[entry]
-    log_p = np.array([p for _, p in entries])[entry]
+    h_id = ids[keep][entry]
+    log_p = np.array([math.log(x) for x in prob[keep].tolist()])[entry]
     src = np.repeat(src, n)
 
     # widen the grid by a column per offered homophone that is no frame candidate: organic mass -inf
@@ -482,7 +579,7 @@ def decode(
     """
     if emissions.frames == 0:
         raise EmptyEmissions()
-    audit: list[HEInjection] = []
+    audit = HEAudit()
     log_probs = emissions.log_probs
 
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
@@ -492,4 +589,4 @@ def decode(
         beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm, t, audit)
 
     nbest = [NBestEntry(h.text(vocab), h.fused_score, h.acoustic_score(), h.lm_score) for h in beam[: config.nbest]]
-    return DecodeResult(tuple(nbest), tuple(audit))
+    return DecodeResult(tuple(nbest), audit)

@@ -190,7 +190,7 @@ def run_comparison(
             best = result.best  # a property: read once, not once per audit record
             bests.append(best)
             injections += len(result.he_injections)
-            in_best += sum(1 for rec in result.he_injections if rec.injected in best)
+            in_best += sum(m for rec, m in result.he_injections.tally() if rec.injected in best)
             del result
         return bests, injections, in_best
 

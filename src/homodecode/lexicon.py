@@ -1,15 +1,16 @@
 """Jyutping lexicon and input-method (cin) table loading.
 
 Builds the homophone index that maps each Jyutping code (syllable +
-tone) to its character set, plus per-character pronunciation counts.
-Both structures are immutable after construction and safe to share
-across concurrent decodes.
+tone) to its character set, and each character to its codes.  Both maps
+are immutable after construction and safe to share across concurrent
+decodes; the index also keeps a per-vocabulary cache that the decoder
+fills (HomophoneIndex.vocab_cache).
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
@@ -56,15 +57,15 @@ class HomophoneIndex:
     """Characters grouped by exact (syllable, tone) code.
 
     by_code maps the code text form ("zo2") to its character set, each set
-    deduplicated and ordered by Unicode code point.  pron_count gives the
-    number of distinct codes listing a character (its polyphone count),
-    and codes_by_char those codes, sorted.  build_homophone_index
-    builds all three.
+    deduplicated and ordered by Unicode code point.  codes_by_char gives
+    the distinct codes listing a character, sorted; their number is the
+    character's pronunciation (polyphone) count.  build_homophone_index
+    builds both.
     """
 
     by_code: dict[str, tuple[str, ...]]
-    pron_count: dict[str, int]
     codes_by_char: dict[str, tuple[str, ...]]
+    _vocab_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def homophones_of(self, char: str) -> tuple[str, ...]:
         """Union of all characters sharing any code with char, minus char."""
@@ -73,6 +74,17 @@ class HomophoneIndex:
             out.update(self.by_code[code])
         out.discard(char)
         return tuple(sorted(out))
+
+    def vocab_cache(self, tokens: tuple[str, ...]) -> dict:
+        """A dict for data derived from this index and the vocabulary
+        tokens, which the caller fills as it goes; the dict of the last
+        tokens asked for is kept, so decodes with one vocabulary share it.
+        Other tokens replace it with a new, empty dict."""
+        cached = self._vocab_cache
+        if cached is None or (cached[0] is not tokens and cached[0] != tokens):
+            cached = (tokens, {})
+            object.__setattr__(self, "_vocab_cache", cached)  # a cache, not part of the frozen value
+        return cached[1]
 
 
 @dataclass(frozen=True)
@@ -87,10 +99,13 @@ def load_lexicon(path: str) -> Lexicon:
     """Parse a lexicon TSV of "<character>\\t<jyutping-code>" lines.
 
     UTF-8, "#" comment lines ignored, duplicate (character, code) pairs
-    collapsed while preserving first-appearance order.
+    collapsed while preserving first-appearance order.  Each distinct
+    code text is parsed once, at its first line, and its JyutpingCode is
+    shared by every entry that lists it.
     """
     entries: list[tuple[str, JyutpingCode]] = []
     seen: set[tuple[str, str]] = set()
+    codes: dict[str, JyutpingCode] = {}
     with open_text(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -103,8 +118,11 @@ def load_lexicon(path: str) -> Lexicon:
                 raise MalformedLine(
                     line_no, f"character field must be a single Unicode scalar, got {char!r}", path
                 )
-            code = JyutpingCode.parse(code_text.strip(), line_no, path)
-            key = (char, code.text)
+            code_text = code_text.strip()
+            code = codes.get(code_text)
+            if code is None:
+                code = codes[code_text] = JyutpingCode.parse(code_text, line_no, path)
+            key = (char, code_text)  # a parsed code's text is the text it was parsed from
             if key in seen:
                 continue
             seen.add(key)
@@ -148,8 +166,7 @@ def build_homophone_index(lex: Lexicon) -> HomophoneIndex:
     codes_by_char = {char: tuple(c for _, c in group) for char, group in groupby(pairs, key=itemgetter(0))}
     pairs.sort(key=itemgetter(1))  # stable: each code's characters stay sorted
     by_code = {code: tuple(ch for ch, _ in group) for code, group in groupby(pairs, key=itemgetter(1))}
-    pron_count = {char: len(codes) for char, codes in codes_by_char.items()}
-    return HomophoneIndex(by_code=by_code, pron_count=pron_count, codes_by_char=codes_by_char)
+    return HomophoneIndex(by_code=by_code, codes_by_char=codes_by_char)
 
 
 def load_cin_table(path: str) -> GlyphCodeTable:

@@ -6,7 +6,9 @@ import pytest
 
 from homodecode.cli import build_parser, main
 from homodecode.decoder import DecoderConfig
-from homodecode.emissions import EmissionMatrix, save_emissions
+from homodecode.emissions import EmissionMatrix, load_emissions, load_vocab, save_emissions
+from homodecode.lexicon import build_homophone_index, load_lexicon
+from homodecode.ngram_lm import load_arpa
 from homodecode.unified_writing import UWConfig
 
 from helpers import (
@@ -20,6 +22,7 @@ from helpers import (
     write_lexicon,
     write_vocab,
 )
+from oracles import reference_decode
 
 
 @pytest.fixture
@@ -73,6 +76,21 @@ def test_decode_reproducible_outputs(decode_world, capsys, tmp_path):
     assert (tmp_path / "n1.jsonl").read_bytes() == (tmp_path / "n2.jsonl").read_bytes()
     rows = [json.loads(line) for line in audit1.read_text(encoding="utf-8").splitlines()]
     assert all(set(r) == {"step", "source", "injected", "prob"} for r in rows)
+
+
+def test_decode_audit_jsonl_writes_the_record_tuple(decode_world, tmp_path, capsys):
+    # the audit, built lazily from per-frame tables, writes the bytes that
+    # the tuple of per-injection records of the reference decode gives
+    audit = tmp_path / "audit.jsonl"
+    assert run_decode(decode_world, "--audit", str(audit)) == 0
+    vocab = load_vocab(decode_world["vocab"])
+    want = reference_decode(
+        load_emissions(decode_world["emissions"], vocab), vocab,
+        build_homophone_index(load_lexicon(decode_world["lexicon"])), load_arpa(decode_world["lm"]), DecoderConfig(),
+    ).he_injections
+    assert len(want) > 0
+    expected = "".join(json.dumps(vars(r), ensure_ascii=False, sort_keys=True) + "\n" for r in want)
+    assert audit.read_bytes() == expected.encode("utf-8")
 
 
 def test_decode_nbest_flag_caps_list(decode_world, tmp_path, capsys):

@@ -9,6 +9,7 @@ from homodecode.decoder import (
     LN10,
     BeamHypothesis,
     DecoderConfig,
+    HEAudit,
     _frame_candidates,
     ctc_step,
     decode,
@@ -278,7 +279,7 @@ def test_two_step_he_hand_computation(tmp_path):
                            he_enabled=True, nbest=10**6, char_topk=0)
     matrix = matrix_from_linear([[0.2, 0.5, 0.1, 0.2], [0.1, 0.1, 0.1, 0.7]])
     rows = matrix.log_probs.astype(np.float64)
-    audit = []
+    audit = HEAudit()
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(2):
         expanded = ctc_step(beam, rows[t], vocab, config, None)
@@ -748,3 +749,148 @@ def test_collision_record_is_the_same_in_either_beam_order(tmp_path):
     assert child_first.lm_score == lm_ab
     assert child_first.p_blank == pytest.approx(math.log(0.3 * 0.2), abs=1e-12)
     assert child_first.p_nonblank == pytest.approx(math.log(0.1 * 0.5 + 0.4 * 0.5), abs=1e-12)
+
+
+# --- the batched injection probabilities and the lazily built audit ---
+
+
+def _he_run(rows, vocab, index, config, lm=None):
+    """Step the beam over rows (float64 log-probability arrays, not
+    necessarily normalised) and return the audit of every frame."""
+    audit = HEAudit()
+    beam = [BeamHypothesis((), 0.0, NEG_INF)]
+    for t, row in enumerate(rows):
+        beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm,
+                                 step=t, audit=audit)
+    return audit
+
+
+def test_batched_adjusted_probs_equal_scalar_by_hex(tmp_path):
+    # every audit record's prob, computed for the whole frame as arrays, is
+    # homophone_adjusted_prob of the same clamped inputs bit for bit: with
+    # a_p and q clamped from log-probabilities just above 0, q = 0 from -inf,
+    # and N >= 10 codes (discount 0), at gamma 0, 0.5, 1 and at random
+    rng = random.Random(1507)
+    chars = [chr(0x4E00 + i) for i in range(20)]
+    codes = [f"{syllable}{tone}" for syllable in ("zo", "sai") for tone in range(1, 7)]
+    entries = [(chars[0], code) for code in codes[:10]] + [(chars[1], code) for code in codes[:11]]
+    entries += [(c, code) for c in chars[2:] for code in rng.sample(codes, rng.randint(1, 3))]
+    index = build_homophone_index(load_lexicon(write_lexicon(tmp_path / "lex.tsv", entries)))
+    vocab = Vocabulary(tuple(["<b>"] + chars[:17]), 0)  # three lexicon characters are out of vocabulary
+    seen = {"a_p clamped": 0, "q clamped": 0, "q zero": 0, "N >= 10": 0}
+    for gamma in (0, 0.5, 1, 1.0) + tuple(rng.random() for _ in range(6)):
+        config = DecoderConfig(beam_size=6, gamma=gamma, char_topk=rng.choice((0, 5)))
+        rows = []
+        for _ in range(8):
+            row = np.log(np.array([rng.random() + 1e-3 for _ in range(vocab.size)]))
+            for k in rng.sample(range(1, vocab.size), 4):
+                row[k] = rng.choice((1e-12, 3e-6, 2e-4, NEG_INF))
+            rows.append(row)
+        for record in _he_run(rows, vocab, index, config):
+            lp = rows[record.step]
+            lp_a, lp_q = lp[vocab.index_of(record.source)], lp[vocab.index_of(record.injected)]
+            a_p, q = min(1.0, math.exp(lp_a)), min(1.0, math.exp(lp_q))
+            n = len(index.codes_by_char[record.injected])
+            assert record.prob.hex() == homophone_adjusted_prob(a_p, q, n, gamma).hex()
+            seen["a_p clamped"] += lp_a > 0.0
+            seen["q clamped"] += lp_q > 0.0
+            seen["q zero"] += q == 0.0
+            seen["N >= 10"] += n >= 10
+    assert all(seen.values()), seen
+
+
+def test_scalar_range_checks_cannot_fire_on_the_hot_path(tmp_path, monkeypatch):
+    # decode does not call homophone_adjusted_prob, and its range checks
+    # would pass on every input the hot path forms: exp of any log-
+    # probability clamped to 1 is in [0, 1], every homophone has at least
+    # one code, and DecoderConfig admits gamma in [0, 1] only
+    from homodecode import decoder
+
+    def refuse(*args):
+        raise AssertionError("homophone_adjusted_prob called while decoding")
+
+    rng = random.Random(1508)
+    vocab, index, lm = _random_he_world(rng, tmp_path)
+    matrix = matrix_from_linear(_quantised_rows(rng, 4, vocab.size))
+    monkeypatch.setattr(decoder, "homophone_adjusted_prob", refuse)
+    assert len(decode(matrix, vocab, index, lm, DecoderConfig()).he_injections) > 0
+    monkeypatch.undo()
+
+    clamped = [min(1.0, math.exp(x)) for x in (NEG_INF, -3.4e38, -746.0, -1e-45, 0.0, 1e-7, 1e-4, 88.0)]
+    counts = {len(index.codes_by_char[h]) for c in index.codes_by_char for h in index.homophones_of(c)}
+    assert min(counts) >= 1
+    for gamma in (0, 0.5, 1, rng.random()):
+        DecoderConfig(gamma=gamma)
+        for a_p in clamped:
+            for q in clamped:
+                for n in counts | {1, 10, 11}:
+                    assert homophone_adjusted_prob(a_p, q, n, gamma) >= a_p
+    for gamma in (-1e-9, 1.0 + 1e-9, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            DecoderConfig(gamma=gamma)
+
+
+def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
+    rng = random.Random(2306)
+    checked = 0
+    for world in range(6):
+        path = tmp_path / f"w{world}"
+        path.mkdir()
+        vocab, index, lm = _random_he_world(rng, path, backoff_lm=world % 2 == 1)
+        for _ in range(10):
+            matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(1, 5), vocab.size))
+            config = DecoderConfig(
+                beam_size=rng.randint(1, 8),
+                gamma=rng.random(),
+                he_enabled=rng.random() < 0.8,
+                char_topk=rng.choice((0, 2, vocab.size)),
+            )
+            got = decode(matrix, vocab, index, lm, config).he_injections
+            want = reference_decode(matrix, vocab, index, lm, config).he_injections
+            assert isinstance(got, HEAudit) and isinstance(want, tuple)
+            assert len(got) == len(want) and bool(got) == bool(want)
+            assert list(got) == list(want)
+            assert got == want and want == got and hash(got) == hash(want)
+            assert got[:3] == want[:3] and got[-3:] == want[-3:]
+            for i in rng.sample(range(-len(want), len(want)), min(len(want), 20)):
+                assert got[i] == want[i]
+            with pytest.raises(IndexError):
+                got[len(want)]
+            # one object per (step, source, injected), the same on every read
+            records = list(got)
+            shared = {}
+            for record in records:
+                assert shared.setdefault((record.step, record.source, record.injected), record) is record
+            assert all(a is b for a, b in zip(records, got))
+            # the tally gives each of those objects once, with its number of entries
+            tally = list(got.tally())
+            assert sum(m for _, m in tally) == len(got)
+            assert [r.step for r, _ in tally] == sorted(r.step for r in shared.values())
+            assert {id(r): m for r, m in tally} == {
+                id(r): sum(1 for x in records if x is r) for r in shared.values()
+            }
+            checked += len(got)
+    assert checked > 1000
+    assert HEAudit() == () and () == HEAudit() and not HEAudit() and list(HEAudit().tally()) == []
+
+
+def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
+    from homodecode import decoder
+
+    built = []
+
+    class CountedInjection(decoder.HEInjection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(decoder, "HEInjection", CountedInjection)
+    rng = random.Random(1509)
+    vocab, index, lm = _random_he_world(rng, tmp_path)
+    matrix = matrix_from_linear(_quantised_rows(rng, 5, vocab.size))
+    audit = decode(matrix, vocab, index, lm, DecoderConfig()).he_injections
+    assert len(audit) > 0 and built == []
+    records = list(audit)
+    assert len(built) == len({id(r) for r in records}) < len(records)
+    list(audit.tally())
+    assert audit[len(audit) - 1] is records[-1] and len(built) == len(set(map(id, records)))

@@ -34,6 +34,22 @@ def test_invalid_tone_rejected(tmp_path):
     assert (exc.value.path, exc.value.line_no) == (path, 1)
 
 
+def test_bad_code_on_two_lines_raises_at_the_first(tmp_path):
+    # each code text is parsed once and its JyutpingCode shared, so a bad
+    # code must still be refused where it first appears
+    path = write_lexicon(tmp_path / "lex.tsv", [("左", "zo2"), ("阻", "zo9"), ("俎", "zo2"), ("柤", "zo9")])
+    with pytest.raises(MalformedLine, match=": tone 9 outside 1..6$") as exc:
+        load_lexicon(path)
+    assert (exc.value.path, exc.value.line_no) == (path, 2)
+
+
+def test_entries_share_one_code_object_per_code_text(tmp_path):
+    path = write_lexicon(tmp_path / "lex.tsv", [("左", "zo2"), ("阻", "zo2"), ("重", "cung4"), ("左", "zo2")])
+    lex = load_lexicon(path)
+    assert [char for char, _ in lex.entries] == ["左", "阻", "重"]
+    assert lex.entries[0][1] is lex.entries[1][1]
+
+
 def test_comments_and_duplicates(tmp_path):
     path = tmp_path / "lex.tsv"
     path.write_text("# comment\n左\tzo2\n左\tzo2\n左\tzo1\n", encoding="utf-8")
@@ -64,25 +80,25 @@ def test_homophone_index_table_rows(tmp_path):
     assert len(index.by_code["zo2"]) == 6
     assert len(index.by_code["sai3"]) == 9
     assert len(index.by_code["wong4"]) == 9
-    assert index.pron_count["左"] == 1
+    assert len(index.codes_by_char["左"]) == 1
 
 
 def test_homophone_index_singleton(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", [("王", "wong4")])
     index = build_homophone_index(load_lexicon(path))
     assert index.by_code["wong4"] == ("王",)
-    assert index.pron_count["王"] == 1
+    assert len(index.codes_by_char["王"]) == 1
     assert index.homophones_of("王") == ()
 
 
 def test_polyphone_counted_per_distinct_code(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", [("重", "cung4"), ("重", "zung6")])
     index = build_homophone_index(load_lexicon(path))
-    assert index.pron_count["重"] == 2
+    assert len(index.codes_by_char["重"]) == 2
 
 
 def test_pron_count_matches_membership(tmp_path):
-    # every character appears in exactly pron_count[char] by_code sets
+    # every character appears in exactly len(codes_by_char[char]) by_code sets
     rng = random.Random(7)
     chars = [chr(0x4E00 + i) for i in range(40)]
     syllables = ["zo", "sai", "wong", "lei", "zeng"]
@@ -93,9 +109,9 @@ def test_pron_count_matches_membership(tmp_path):
     lex_entries = list(dict.fromkeys(entries))
     path = write_lexicon(tmp_path / "lex.tsv", lex_entries)
     index = build_homophone_index(load_lexicon(path))
-    for char, count in index.pron_count.items():
+    for char, codes in index.codes_by_char.items():
         member_of = sum(1 for chars_ in index.by_code.values() if char in chars_)
-        assert member_of == count
+        assert member_of == len(codes)
 
 
 def test_index_is_pure(tmp_path):
