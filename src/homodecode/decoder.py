@@ -19,10 +19,8 @@ transcript code-point order so repeated decodes are bit-identical.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -121,59 +119,50 @@ class HEInjection:
     prob: float
 
 
-class _Edges(NamedTuple):
-    """A source character's injection edges: its in-vocabulary homophones
-    in homophones_of order, as vocabulary ids, polyphone discounts
-    max(0, 1 - log10 N) and characters."""
-
-    ids: np.ndarray
-    discount: np.ndarray
-    chars: tuple[str, ...]
-    source: str
-
-
 class HEAudit(Sequence):
-    """Every homophone injection of a decode, in decode order, as an
-    immutable sequence of HEInjection records.
+    """Every homophone injection of a decode, in decode order, as a
+    read-only sequence of HEInjection records.
 
-    extend_homophones adds one frame at a time: the frame's injection
-    table (per source column, its kept homophones and their adjusted
-    probabilities) and, in order, the column of every beam cell that
-    injected from it.  Each such cell contributes its column's table in
-    full, so the sequence holds one entry per injection, and entries for
-    the same (step, source, injected) are the same object.  The records
-    are built when the audit is first read; a decode whose audit is never
-    read builds none.  len() is O(1), and tally() gives each distinct
-    record once with the number of entries it has.  Iteration order,
-    ==, hash and len() are those of the tuple of the same records, so an
-    audit without injections equals ().
+    decode fills it through extend_homophones one frame at a time: the
+    frame's injection table (per source column, the source, its
+    homophones and their adjusted probabilities, and which of them were
+    kept) and, in order, the column of every beam cell that injected from
+    it.  It does not change after decode returns.  Each such cell
+    contributes its column's table in full, so the sequence holds one
+    entry per injection, and entries for the same (step, source,
+    injected) are the same object.  The records are built when the audit
+    is first read; a decode whose audit is never read builds none.  len()
+    is O(1), and tally() gives each distinct record once with the number
+    of entries it has.  Iteration order, indexing, ==, hash and len() are
+    those of the tuple of the same records, so an audit without
+    injections equals ().
     """
 
     def __init__(self) -> None:
-        self._frames: list[tuple] = []  # (step, edges per column, keep, prob, column of each cell)
-        self._ends: list[int] = []  # entries up to and including each frame
+        self._frames: list[tuple] = []  # (step, (source, homophones) per column, keep, prob, cells' columns)
         self._tables: list[list[tuple[HEInjection, ...]] | None] = []  # built on first read
+        self._len = 0
 
-    def _add_frame(self, step: int, edges: list[_Edges], keep: np.ndarray, prob: np.ndarray,
-                   cells: np.ndarray, entries: int) -> None:
-        self._frames.append((step, edges, keep, prob, cells))
-        self._ends.append(len(self) + entries)
+    def _add_frame(self, step: int, columns: list[tuple[str, tuple[str, ...]]], keep: np.ndarray,
+                   prob: np.ndarray, cells: np.ndarray, entries: int) -> None:
+        self._frames.append((step, columns, keep, prob, cells))
         self._tables.append(None)
+        self._len += entries
 
     def _records(self, f: int) -> list[tuple[HEInjection, ...]]:
         """Frame f's table: the records of each column, built once."""
         tables = self._tables[f]
         if tables is None:
-            step, edges, keep, prob, _ = self._frames[f]
+            step, columns, keep, prob, _ = self._frames[f]
             kept, probs = iter(keep.tolist()), iter(prob.tolist())
             tables = self._tables[f] = [
-                tuple(HEInjection(step, edge.source, h, p) for h, k, p in zip(edge.chars, kept, probs) if k)
-                for edge in edges
+                tuple(HEInjection(step, source, h, p) for h, k, p in zip(homophones, kept, probs) if k)
+                for source, homophones in columns
             ]
         return tables
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return self._len
 
     def __iter__(self) -> Iterator[HEInjection]:
         for f, (_, _, _, _, cells) in enumerate(self._frames):
@@ -182,21 +171,13 @@ class HEAudit(Sequence):
                 yield from tables[k]
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self)[i]
-        i = range(len(self))[i]  # negative indices, IndexError and TypeError as a tuple has them
-        f = bisect_right(self._ends, i)
-        i -= self._ends[f - 1] if f else 0
-        tables, cells = self._records(f), self._frames[f][4]
-        sizes = np.array([len(table) for table in tables], dtype=np.intp)[cells]
-        n = int(np.searchsorted(np.cumsum(sizes), i, side="right"))
-        return tables[cells[n]][i - int(sizes[:n].sum())]
+        return tuple(self)[i]
 
     def tally(self) -> Iterator[tuple[HEInjection, int]]:
         """(record, multiplicity) for every distinct record, by frame and
         then column; the multiplicities sum to len()."""
-        for f, (_, edges, _, _, cells) in enumerate(self._frames):
-            uses = np.bincount(cells, minlength=len(edges)).tolist()
+        for f, (_, columns, _, _, cells) in enumerate(self._frames):
+            uses = np.bincount(cells, minlength=len(columns)).tolist()
             for table, m in zip(self._records(f), uses):
                 for record in table:
                     yield record, m
@@ -434,17 +415,6 @@ def ctc_step(
     return exp
 
 
-def _source_edges(c: int, index: HomophoneIndex, vocab: Vocabulary) -> _Edges:
-    """The edges of vocabulary id c; a homophone's N is its number of
-    codes, and its discount is computed as homophone_adjusted_prob does."""
-    source = vocab.tokens[c]
-    chars = tuple(h for h in index.homophones_of(source) if h in vocab.index)
-    ids = np.array([vocab.index[h] for h in chars], dtype=np.intp)
-    discount = np.array([max(0.0, 1.0 - math.log10(len(index.codes_by_char[h]))) for h in chars], dtype=np.float64)
-    ids.flags.writeable = discount.flags.writeable = False  # shared by every decode with this vocabulary
-    return _Edges(ids, discount, chars, source)
-
-
 def extend_homophones(
     hyps: BeamExpansion,
     frame: np.ndarray,
@@ -453,7 +423,7 @@ def extend_homophones(
     config: DecoderConfig,
     lm: NGramModel | None = None,
     step: int = 0,
-    audit: HEAudit | None = None,
+    audit: HEAudit | list[HEInjection] | None = None,
 ) -> list[BeamHypothesis]:
     """Inject homophone siblings into this step's expansion and prune it.
 
@@ -469,15 +439,15 @@ def extend_homophones(
 
     The adjusted probabilities depend only on the frame and the source
     character, so each distinct source gets one injection table per
-    call, shared by every cell it extends.  A source's edges (homophone
-    ids, discounts, characters) are built on its first use and kept in
-    index.vocab_cache for vocab; one frame's tables are computed for all
-    source columns at once, as arrays, equal bit for bit to
+    call, shared by every cell it extends.  The tables of all source
+    columns are computed at once, as arrays over the sources'
+    in-vocabulary homophones, equal bit for bit to
     homophone_adjusted_prob of min(1, exp(lp[source])) and
     min(1, exp(lp[h])), which is never called here.  audit, if given,
-    receives the frame's tables and the column of every source cell in
-    the order in which ctc_step created the records; it builds no
-    HEInjection until read.
+    receives the records of every source cell in the order in which
+    ctc_step created the cells: an HEAudit gets the frame's tables and
+    the column of each cell, and builds no HEInjection until read; a
+    list is extended with the records themselves.
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
@@ -506,40 +476,44 @@ def extend_homophones(
         order[np.searchsorted(src, list(exp.moved))] = list(exp.moved.values())
         src = src[np.argsort(order)]
 
-    # every source column's edges, concatenated in column order, with their adjusted probabilities;
-    # exp and log are math's, as numpy's can differ in the last bit, and the rest is exact as arrays
-    cache = index.vocab_cache(vocab.tokens)
-    edges = []
-    for c in exp.tokens[cols].tolist():
-        edge = cache.get(c)
-        if edge is None:
-            edge = cache[c] = _source_edges(c, index, vocab)
-        edges.append(edge)
-    ids = np.concatenate([edge.ids for edge in edges])
-    counts = np.array([edge.ids.shape[0] for edge in edges], dtype=np.intp)
+    # every source column's in-vocabulary homophones in homophones_of order, concatenated in column
+    # order, with their polyphone discounts max(0, 1 - log10 N) (N a homophone's number of codes; one
+    # discount per N up to the largest) and their adjusted probabilities; exp, log and log10 are
+    # math's, as numpy's can differ in the last bit, and the rest is exact as arrays
+    sources = [vocab.tokens[c] for c in exp.tokens[cols].tolist()]
+    homophones = [tuple([h for h in index.homophones_of(s) if h in vocab.index]) for s in sources]
+    flat = [h for hs in homophones for h in hs]
+    ids = np.array([vocab.index[h] for h in flat], dtype=np.intp)
+    n_pron = np.array([len(index.codes_by_char[h]) for h in flat], dtype=np.intp)
+    discount = np.array([max(0.0, 1.0 - math.log10(n)) for n in range(1, n_pron.max(initial=1) + 1)])[n_pron - 1]
+    counts = [len(hs) for hs in homophones]
     a_p = np.repeat(np.minimum([math.exp(x) for x in lp[exp.tokens[cols]].tolist()], 1.0), counts)
     q = np.minimum([math.exp(x) for x in lp[ids].tolist()], 1.0)
-    discount = np.concatenate([edge.discount for edge in edges])
     prob = np.maximum(a_p, (1.0 - config.gamma) * a_p + config.gamma * q * discount)
     keep = prob > 0.0
-    size = np.bincount(np.repeat(cols, counts)[keep], minlength=width)  # kept edges per column
+    size = np.bincount(np.repeat(cols, counts)[keep], minlength=width)  # kept homophones per column
     src = src[size[src % width] > 0]
     if not src.shape[0]:
         return _select(exp, exp.fresh_cells(), vocab, config)
     src_col = src % width
     n = size[src_col]
     if audit is not None:
-        audit._add_frame(step, edges, keep, prob, np.searchsorted(cols, src_col), int(n.sum()))
+        frame_audit = audit if isinstance(audit, HEAudit) else HEAudit()
+        frame_audit._add_frame(step, list(zip(sources, homophones)), keep, prob, np.searchsorted(cols, src_col),
+                               int(n.sum()))
+        if frame_audit is not audit:
+            audit.extend(frame_audit)
 
     # every proposal as arrays: source cell src offers homophone h_id at log adjusted probability log_p
     first = np.cumsum(size) - size
     entry = np.arange(n.sum()) + np.repeat(first[src_col] - (np.cumsum(n) - n), n)
-    h_id = ids[keep][entry]
+    offered = ids[keep]  # each is offered by at least one cell, as every source column has a live cell
+    h_id = offered[entry]
     log_p = np.array([math.log(x) for x in prob[keep].tolist()])[entry]
     src = np.repeat(src, n)
 
     # widen the grid by a column per offered homophone that is no frame candidate: organic mass -inf
-    extra = np.unique(h_id[exp.columns[h_id] < 0])
+    extra = np.unique(offered[exp.columns[offered] < 0])
     columns = exp.columns.copy()
     columns[extra] = width + np.arange(extra.shape[0])
     tokens = np.concatenate((exp.tokens, extra))

@@ -3,14 +3,13 @@
 Builds the homophone index that maps each Jyutping code (syllable +
 tone) to its character set, and each character to its codes.  Both maps
 are immutable after construction and safe to share across concurrent
-decodes; the index also keeps a per-vocabulary cache that the decoder
-fills (HomophoneIndex.vocab_cache).
+decodes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
 
@@ -65,7 +64,6 @@ class HomophoneIndex:
 
     by_code: dict[str, tuple[str, ...]]
     codes_by_char: dict[str, tuple[str, ...]]
-    _vocab_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def homophones_of(self, char: str) -> tuple[str, ...]:
         """Union of all characters sharing any code with char, minus char."""
@@ -74,17 +72,6 @@ class HomophoneIndex:
             out.update(self.by_code[code])
         out.discard(char)
         return tuple(sorted(out))
-
-    def vocab_cache(self, tokens: tuple[str, ...]) -> dict:
-        """A dict for data derived from this index and the vocabulary
-        tokens, which the caller fills as it goes; the dict of the last
-        tokens asked for is kept, so decodes with one vocabulary share it.
-        Other tokens replace it with a new, empty dict."""
-        cached = self._vocab_cache
-        if cached is None or (cached[0] is not tokens and cached[0] != tokens):
-            cached = (tokens, {})
-            object.__setattr__(self, "_vocab_cache", cached)  # a cache, not part of the frozen value
-        return cached[1]
 
 
 @dataclass(frozen=True)

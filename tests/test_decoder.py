@@ -279,7 +279,7 @@ def test_two_step_he_hand_computation(tmp_path):
                            he_enabled=True, nbest=10**6, char_topk=0)
     matrix = matrix_from_linear([[0.2, 0.5, 0.1, 0.2], [0.1, 0.1, 0.1, 0.7]])
     rows = matrix.log_probs.astype(np.float64)
-    audit = HEAudit()
+    audit = []
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(2):
         expanded = ctc_step(beam, rows[t], vocab, config, None)
@@ -754,10 +754,11 @@ def test_collision_record_is_the_same_in_either_beam_order(tmp_path):
 # --- the batched injection probabilities and the lazily built audit ---
 
 
-def _he_run(rows, vocab, index, config, lm=None):
-    """Step the beam over rows (float64 log-probability arrays, not
-    necessarily normalised) and return the audit of every frame."""
-    audit = HEAudit()
+def _he_run(rows, vocab, index, config, lm=None, audit=None):
+    """Step the beam over rows (log-probability arrays, not necessarily
+    normalised) and return the audit of every frame, an HEAudit unless
+    another audit is given."""
+    audit = HEAudit() if audit is None else audit
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t, row in enumerate(rows):
         beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm,
@@ -848,6 +849,8 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
             got = decode(matrix, vocab, index, lm, config).he_injections
             want = reference_decode(matrix, vocab, index, lm, config).he_injections
             assert isinstance(got, HEAudit) and isinstance(want, tuple)
+            # extend_homophones also fills a plain list, with the records themselves
+            assert _he_run(matrix.log_probs, vocab, index, config, lm, audit=[]) == list(want)
             assert len(got) == len(want) and bool(got) == bool(want)
             assert list(got) == list(want)
             assert got == want and want == got and hash(got) == hash(want)
