@@ -9,11 +9,15 @@ in non-blank.  Pruning ranks prefixes by the fused score
 
     logsumexp(p_blank, p_nonblank) + alpha * ln(10) * lm_score + beta * |prefix|
 
-where lm_score is the accumulated log10 language-model score.  Every
-prefix's lm_score is its parent's plus one logprob_row value, however
-the prefix was reached, so it equals score_sequence of the prefix bit
-for bit and the n-best needs no second LM pass.  All tie-breaks use
-transcript code-point order so repeated decodes are bit-identical.
+where lm_score is the accumulated log10 language-model score.  The LM is
+read once per frame: ctc_step resolves every live parent's context into
+one BackoffGrid, and the search reads from it only the columns it
+scores, the frame's candidates and the homophones injected beside them.
+Every prefix's lm_score is its parent's plus one value of that grid,
+however the prefix was reached, so it equals score_sequence of the
+prefix bit for bit and the n-best needs no second LM pass.  All
+tie-breaks use transcript code-point order so repeated decodes are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from .emissions import EmissionMatrix, Vocabulary
 from .errors import EmptyEmissions, InvalidProbability, check_types
 from .lexicon import HomophoneIndex
-from .ngram_lm import NGramModel
+from .ngram_lm import BackoffGrid, NGramModel
 
 NEG_INF = float("-inf")
 LN10 = math.log(10.0)
@@ -132,10 +136,10 @@ class HEAudit(Sequence):
     entry per injection, and entries for the same (step, source,
     injected) are the same object.  The records are built when the audit
     is first read; a decode whose audit is never read builds none.  len()
-    is O(1), and tally() gives each distinct record once with the number
-    of entries it has.  Iteration order, indexing, ==, hash and len() are
-    those of the tuple of the same records, so an audit without
-    injections equals ().
+    is O(1), tally() gives each distinct record once with the number of
+    entries it has, and count_injected counts entries without building
+    any.  Iteration order, indexing, ==, hash and len() are those of the
+    tuple of the same records, so an audit without injections equals ().
     """
 
     def __init__(self) -> None:
@@ -181,6 +185,18 @@ class HEAudit(Sequence):
             for table, m in zip(self._records(f), uses):
                 for record in table:
                     yield record, m
+
+    def count_injected(self, chars) -> int:
+        """The number of entries whose injected character is in chars,
+        counted from each frame's keep flags and its cells' columns with
+        no record built; it equals
+        sum(m for r, m in self.tally() if r.injected in chars)."""
+        total = 0
+        for _, columns, keep, _, cells in self._frames:
+            kept = iter(keep.tolist())
+            hits = [sum(1 for h, k in zip(homophones, kept) if k and h in chars) for _, homophones in columns]
+            total += int(np.dot(np.bincount(cells, minlength=len(columns)), hits))
+        return total
 
     def __eq__(self, other):
         if isinstance(other, (HEAudit, tuple)):
@@ -270,8 +286,9 @@ class BeamExpansion:
     mass is the natural-log mass of the parent that multiplies the
     emission (-inf where the cell extends nothing), p_nonblank that mass
     times the emission and lm_score the parent's LM score plus the LM
-    increment; lm_rows[i] is the logprob_row of parents[i]'s context
-    (None without an LM).  fresh marks the cells whose prefix is
+    increment; lm_grid is the BackoffGrid of the parents' contexts, row
+    i for parents[i] (None without an LM), from which the increments of
+    any further column are read.  fresh marks the cells whose prefix is
     new this frame.  The beam's own prefixes, kept by blank or repeat,
     are BeamHypothesis objects in stays; an extension that lands on one
     is merged into it.  Records are created in row-major cell order,
@@ -289,7 +306,7 @@ class BeamExpansion:
     rows: dict[tuple[int, ...], int]
     tokens: np.ndarray
     columns: np.ndarray
-    lm_rows: list[np.ndarray] | None
+    lm_grid: BackoffGrid | None
     mass: np.ndarray
     p_nonblank: np.ndarray
     lm_score: np.ndarray
@@ -358,11 +375,13 @@ def ctc_step(
     Blank extends p_blank of the same prefix; a repeated character
     merges into p_nonblank of the same prefix; any character extends the
     prefix with an incremental LM score.  The extensions are one
-    (hypothesis x candidate) array pass with one logprob_row per
-    hypothesis; a fresh extension's non-blank mass is its mass plus the
-    emission, so no transcendental function is needed.  The blank and
-    repeat records, and the extensions that land on a prefix already in
-    the beam, take the scalar path.  hyps must hold distinct prefixes.
+    (hypothesis x candidate) array pass; the LM increments are one
+    BackoffGrid over the hypotheses' contexts, read at the candidates'
+    row positions, with no array of vocabulary length per hypothesis; a
+    fresh extension's non-blank mass is its mass plus the emission, so
+    no transcendental function is needed.  The blank and repeat records,
+    and the extensions that land on a prefix already in the beam, take
+    the scalar path.  hyps must hold distinct prefixes.
 
     Returns the unpruned BeamExpansion; extend_homophones injects
     homophones into it and prunes it, so that injected and organic
@@ -385,16 +404,14 @@ def ctc_step(
         if k >= 0:
             mass[i, k] = parents[i].p_blank
     p_nonblank = mass + lp[tokens]
-    lm_rows, inc = None, np.zeros_like(mass)
+    lm_grid, inc = None, np.zeros_like(mass)
     if lm is not None and parents:
         # a context reads at most the last order - 1 tokens
-        contexts = [lm.context([vocab.tokens[i] for i in h.prefix[-lm.order :]]) for h in parents]
-        lm_rows = [lm.logprob_row(context) for context in contexts]
-        positions = lm.row_indices(vocab.tokens)[tokens]
-        inc = np.array([lm_row[positions] for lm_row in lm_rows])
+        lm_grid = lm.backoff_grid([lm.context([vocab.tokens[i] for i in h.prefix[-lm.order :]]) for h in parents])
+        inc = lm_grid.logprob(lm.row_indices(vocab.tokens)[tokens])
     lm_score = np.array([h.lm_score for h in parents])[:, None] + inc
     exp = BeamExpansion(
-        parents, {h.prefix: i for i, h in enumerate(parents)}, tokens, columns, lm_rows,
+        parents, {h.prefix: i for i, h in enumerate(parents)}, tokens, columns, lm_grid,
         mass, p_nonblank, lm_score, mass != NEG_INF, {}, {},
     )
 
@@ -451,15 +468,16 @@ def extend_homophones(
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
-    the parent's plus that parent's logprob_row value, as ctc_step adds
-    it.  Every offer is scattered into one sibling grid by max, so a
-    sibling reached from several sources (or several cells of one
-    parent) keeps the largest non-blank mass.  A sibling that is a
-    prefix already in the beam is merged into that prefix by max and
-    cleared from the grid; every other sibling, and every fresh cell,
-    enters the prune with the larger of its organic and sibling mass.
-    Only prefixes scoring at least the beam_size-th best fused score
-    become BeamHypothesis objects.
+    the parent's plus that parent's value in the expansion's lm_grid, as
+    ctc_step adds it: the extra columns are one more read of that grid,
+    so the contexts are not resolved again.  Every offer is scattered
+    into one sibling grid by max, so a sibling reached from several
+    sources (or several cells of one parent) keeps the largest non-blank
+    mass.  A sibling that is a prefix already in the beam is merged into
+    that prefix by max and cleared from the grid; every other sibling,
+    and every fresh cell, enters the prune with the larger of its
+    organic and sibling mass.  Only prefixes scoring at least the
+    beam_size-th best fused score become BeamHypothesis objects.
     """
     exp = hyps  # named hyps, as before, for callers that pass it by keyword
     if not config.he_enabled or index is None:
@@ -518,9 +536,8 @@ def extend_homophones(
     columns[extra] = width + np.arange(extra.shape[0])
     tokens = np.concatenate((exp.tokens, extra))
     inc = np.zeros((len(exp.parents), extra.shape[0]))
-    if exp.lm_rows is not None:
-        positions = lm.row_indices(vocab.tokens)[extra]
-        inc = np.array([lm_row[positions] for lm_row in exp.lm_rows])
+    if exp.lm_grid is not None:
+        inc = exp.lm_grid.logprob(lm.row_indices(vocab.tokens)[extra])
     lm_score = np.hstack((exp.lm_score, np.array([h.lm_score for h in exp.parents])[:, None] + inc))
     organic = np.hstack((exp.p_nonblank, np.full(inc.shape, NEG_INF)))
     new = np.hstack((exp.fresh, np.zeros(inc.shape, dtype=bool)))
@@ -559,7 +576,7 @@ def decode(
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(emissions.frames):
         row = log_probs[t]
-        # each frame's expansion, LM rows included, is dropped before the next is built
+        # each frame's expansion, its BackoffGrid included, is dropped before the next is built
         beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm, t, audit)
 
     nbest = [NBestEntry(h.text(vocab), h.fused_score, h.acoustic_score(), h.lm_score) for h in beam[: config.nbest]]

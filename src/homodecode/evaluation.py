@@ -187,10 +187,10 @@ def run_comparison(
                 result = decode(matrix, assets.vocab, assets.index, assets.lm, config)
             except Exception as exc:
                 raise UtteranceError(entry.utt_id, str(exc)) from exc
-            best = result.best  # a property: read once, not once per audit record
+            best = result.best  # a property: read once
             bests.append(best)
             injections += len(result.he_injections)
-            in_best += sum(m for rec, m in result.he_injections.tally() if rec.injected in best)
+            in_best += result.he_injections.count_injected(best)
             del result
         return bests, injections, in_best
 

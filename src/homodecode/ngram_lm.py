@@ -6,15 +6,15 @@ scores.
 
 Two query paths give equal numbers.  conditional_logprob walks the
 back-off recursion over the probs/backoffs dicts for one token; it
-serves score_sequence and score_increment.  logprob_row, which the
-decoder reads, scores every token at once for one context: each
-unigram and <unk> has a row position, and the row starts from the
-unigram vector plus the summed back-off weights, then takes each stored
-higher-order n-gram of the context's suffixes, shortest suffix first.
-The vectors it needs (unigram scores, and the successors of every
-context as flat position/score arrays) are built on the first row query
-and cached on the model, so loading stays a plain parse, as are the row
-positions of the last vocabulary that row_indices mapped.
+serves score_sequence and score_increment.  backoff_grid, which the
+decoder calls once per frame, resolves a batch of contexts into a
+BackoffGrid, which scores them at any list of row positions (each
+unigram and <unk> has one) as one matrix, with no array of vocabulary
+length per context.  The arrays it needs (unigram scores, and every
+stored higher-order n-gram as a sorted (context slot, row position) key
+with its score) are built on the first query and cached on the model,
+so loading stays a plain parse, as are the row positions of the last
+vocabulary that row_indices mapped.
 """
 
 from __future__ import annotations
@@ -42,15 +42,16 @@ _SECTION_RE = re.compile(r"^\\(\d+)-grams:$")
 
 @dataclass(frozen=True)
 class _RowView:
-    """Dense form of a model for logprob_row.
+    """Dense form of a model for backoff_grid.
 
     Row positions are the unigrams in code-point order, then <unk> if it
     is not a unigram; a token's position is found by bisection, so no
-    per-token map is kept.  The successors of a context are succ[lo:hi]
-    (row positions) with scores succ_logp[lo:hi], where lo, hi =
-    starts[slot : slot + 2]; a one-token context whose token has a row
-    position uses that position as its slot, every other context has
-    one in long_slots.
+    per-token map is kept.  Every stored n-gram above the unigrams whose
+    last token has a row position is one key, slot * len(unigram) + that
+    position, in ascending order, with its score at the same index of
+    logp, so a slot's successors are one run of keys; a one-token context
+    whose token has a row position uses that position as its slot, every
+    other context has one in long_slots.
     """
 
     tokens: list[str]
@@ -58,9 +59,8 @@ class _RowView:
     unk_position: int
     unigram: np.ndarray
     long_slots: dict[tuple[str, ...], int]
-    starts: np.ndarray
-    succ: np.ndarray
-    succ_logp: np.ndarray
+    keys: np.ndarray
+    logp: np.ndarray
 
     def position(self, token: str) -> int | None:
         i = bisect_left(self.tokens, token)
@@ -74,6 +74,47 @@ class _RowView:
             if slot is not None:
                 return slot
         return self.long_slots.get(context)
+
+
+@dataclass(frozen=True)
+class BackoffGrid:
+    """A batch of contexts with their back-off state resolved, from which
+    logprob reads log10 P(t | contexts[i]) at any row positions.
+
+    acc[i] is the sum of the back-off weights of every suffix of
+    contexts[i], longest first, as conditional_logprob adds them.  The
+    stored successors of the contexts' suffixes that score a token are
+    listed once per (context, row position) as rows, positions and
+    values, sorted: each value is the back-off sum added before the
+    longest suffix that stores that successor, plus its log-probability.
+    """
+
+    unigram: np.ndarray
+    acc: np.ndarray
+    rows: np.ndarray
+    positions: np.ndarray
+    values: np.ndarray
+
+    def logprob(self, positions: np.ndarray) -> np.ndarray:
+        """The (contexts x positions) matrix of log10 scores, as a new
+        array; positions may repeat and may be empty.
+
+        Each element equals conditional_logprob(context, token) exactly:
+        the back-off weights are summed in the same order and each score
+        is one addition of that sum and a stored log-probability.  Only
+        the stored successors are searched for among positions, so a
+        read costs no search per element.
+        """
+        positions = np.asarray(positions, dtype=np.intp)
+        grid = self.acc[:, None] + self.unigram[positions]
+        order = np.argsort(positions, kind="stable")
+        ordered = positions[order]
+        first = np.searchsorted(ordered, self.positions, "left")
+        found = np.searchsorted(ordered, self.positions, "right") - first  # columns per stored successor
+        entry = np.repeat(np.arange(found.shape[0]), found)
+        columns = order[np.arange(entry.shape[0]) + np.repeat(first - (np.cumsum(found) - found), found)]
+        grid[self.rows[entry], columns] = self.values[entry]
+        return grid
 
 
 @dataclass
@@ -122,9 +163,9 @@ class NGramModel:
             ctx = ctx[1:]
 
     def row_indices(self, tokens: tuple[str, ...]) -> np.ndarray:
-        """Position of normalize_token(token) in the rows of logprob_row,
-        for every token, as a read-only array; the array for the last
-        tokens asked for is kept, so a decode maps its vocabulary once."""
+        """Row position of normalize_token(token) for every token, as a
+        read-only array; the array for the last tokens asked for is kept,
+        so a decode maps its vocabulary once."""
         cached = self._row_indices
         if cached is None or (cached[0] is not tokens and cached[0] != tokens):
             view = self._rows or self._build_rows()
@@ -134,29 +175,35 @@ class NGramModel:
             cached = self._row_indices = (tokens, positions)
         return cached[1]
 
-    def logprob_row(self, context: tuple[str, ...]) -> np.ndarray:
-        """log10 P(t | context) for every row position t, as a new array.
-
-        Each element equals conditional_logprob(context, t) exactly: the
-        back-off weights are summed in the same order and each score is
-        one addition of that sum and a stored log-probability.
-        """
+    def backoff_grid(self, contexts: list[tuple[str, ...]]) -> BackoffGrid:
+        """Resolve every context once: its back-off sum, and the stored
+        successors of its suffixes, which one pair of searches over the
+        sorted keys finds for all suffixes at once (see BackoffGrid)."""
         view = self._rows or self._build_rows()
-        overrides = []  # (back-off sum, lo, hi), longest context first
-        acc = 0.0
-        ctx = context
-        while ctx:
-            slot = view.slot(ctx)
-            if slot is not None:
-                lo, hi = view.starts[slot : slot + 2]
-                if lo < hi:
-                    overrides.append((acc, lo, hi))
-            acc += self.backoffs.get(ctx, 0.0)
-            ctx = ctx[1:]
-        row = acc + view.unigram
-        for acc_k, lo, hi in reversed(overrides):
-            row[view.succ[lo:hi]] = acc_k + view.succ_logp[lo:hi]
-        return row
+        size = view.unigram.shape[0]
+        acc = []
+        rows, bases, sums = [], [], []  # per suffix with a slot: its context's row, its key base, the sum before it
+        for i, context in enumerate(contexts):
+            total = 0.0
+            ctx = context
+            while ctx:
+                slot = view.slot(ctx)
+                if slot is not None:
+                    rows.append(i)
+                    bases.append(slot * size)
+                    sums.append(total)
+                total += self.backoffs.get(ctx, 0.0)
+                ctx = ctx[1:]
+            acc.append(total)
+        bases = np.array(bases, dtype=np.int64)
+        lo = np.searchsorted(view.keys, bases)
+        n = np.searchsorted(view.keys, bases + size) - lo  # stored successors per suffix
+        at = np.arange(n.sum()) + np.repeat(lo - (np.cumsum(n) - n), n)
+        cell = np.repeat(np.array(rows, dtype=np.int64) * size - bases, n) + view.keys[at]
+        value = np.repeat(np.array(sums, dtype=np.float64), n) + view.logp[at]
+        # each context's suffixes come longest first, so the first of a cell is the one that scores it
+        cells, first = np.unique(cell, return_index=True)
+        return BackoffGrid(view.unigram, np.array(acc, dtype=np.float64), cells // size, cells % size, value[first])
 
     def _build_rows(self) -> _RowView:
         tokens = sorted(gram[0] for gram in self.probs if len(gram) == 1)
@@ -180,17 +227,16 @@ class NGramModel:
             slots.append(slot)
             succ.append(position)
             succ_logp.append(logp)
-        slot_arr = np.array(slots, dtype=np.intp)
-        order = np.argsort(slot_arr, kind="stable")
+        keys = np.array(slots, dtype=np.int64) * len(unigram) + np.array(succ, dtype=np.int64)
+        order = np.argsort(keys)
         view = _RowView(
             tokens=tokens,
             unk=self.unk,
             unk_position=positions[self.unk],
             unigram=np.array(unigram, dtype=np.float64),
             long_slots=long_slots,
-            starts=np.searchsorted(slot_arr[order], np.arange(len(positions) + len(long_slots) + 1)),
-            succ=np.array(succ, dtype=np.intp)[order],
-            succ_logp=np.array(succ_logp, dtype=np.float64)[order],
+            keys=keys[order],
+            logp=np.array(succ_logp, dtype=np.float64)[order],
         )
         self._rows = view
         return view

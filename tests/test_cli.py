@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -492,7 +493,7 @@ def test_compare_five_variant_ladder(compare_world, capsys):
 def test_compare_uw_without_its_files_exit_2(compare_world, tmp_path, capsys, key, variants, on_references):
     # UW pairs are oriented by the frequency file alone, never by counts of
     # the reference transcripts, so a config without one is refused
-    config = json.loads(open(compare_world["config"], encoding="utf-8").read())
+    config = json.loads(Path(compare_world["config"]).read_text(encoding="utf-8"))
     del config[key]
     config["uw_on_references"] = on_references
     bad = tmp_path / "no_file.json"
@@ -542,7 +543,7 @@ def test_compare_non_utf8_config_exit_2(compare_world, tmp_path, capsys):
 @pytest.mark.parametrize("section, literal", [("decoder", '{"alpha": NaN}'), ("uw", '{"cosine_min": Infinity}')])
 def test_compare_non_finite_config_number_exit_2(compare_world, tmp_path, capsys, section, literal):
     # json accepts NaN/Infinity, and nan < 0.0 is False, so range checks alone let them through
-    text = open(compare_world["config"], encoding="utf-8").read()
+    text = Path(compare_world["config"]).read_text(encoding="utf-8")
     config = tmp_path / "non_finite.json"
     config.write_text(text[:-1] + f', "{section}": {literal}}}', encoding="utf-8")
     code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
@@ -560,7 +561,7 @@ def test_compare_unknown_config_key_exit_2(compare_world, tmp_path, capsys):
         ("cin_dir", lambda obj: obj.update(cin_dir=str(tmp_path))),
         ("rescore_enabled", lambda obj: obj.update(decoder={"rescore_enabled": True})),
     ):
-        obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
+        obj = json.loads(Path(compare_world["config"]).read_text(encoding="utf-8"))
         edit(obj)
         config = tmp_path / f"{name}.json"
         config.write_text(json.dumps(obj), encoding="utf-8")
@@ -585,7 +586,7 @@ def test_compare_unknown_config_key_exit_2(compare_world, tmp_path, capsys):
     ("variants", "lm", "variants must be a list of str, got 'lm'"),
 ], ids=["vocab", "lexicon", "output_dir", "beam_size", "min_methods", "uw_on_references", "he_enabled", "variants"])
 def test_compare_wrong_config_value_type_exit_2(compare_world, tmp_path, capsys, key, value, message):
-    obj = json.loads(open(compare_world["config"], encoding="utf-8").read())
+    obj = json.loads(Path(compare_world["config"]).read_text(encoding="utf-8"))
     obj[key] = value
     config = tmp_path / "typed.json"
     config.write_text(json.dumps(obj), encoding="utf-8")
@@ -596,7 +597,7 @@ def test_compare_wrong_config_value_type_exit_2(compare_world, tmp_path, capsys,
 
 def test_compare_huge_config_integer_exit_2(compare_world, tmp_path, capsys):
     # json.load raises a plain ValueError on an integer of more than 4,300 digits
-    text = open(compare_world["config"], encoding="utf-8").read()
+    text = Path(compare_world["config"]).read_text(encoding="utf-8")
     config = tmp_path / "huge.json"
     config.write_text(text[:-1] + f', "decoder": {{"beam_size": {"9" * 5000}}}}}', encoding="utf-8")
     code = main(["compare", "--manifest", compare_world["manifest"], "--config", str(config)])
@@ -605,7 +606,7 @@ def test_compare_huge_config_integer_exit_2(compare_world, tmp_path, capsys):
 
 
 def test_compare_huge_manifest_integer_exit_2(compare_world, tmp_path, capsys):
-    text = open(compare_world["manifest"], encoding="utf-8").read()
+    text = Path(compare_world["manifest"]).read_text(encoding="utf-8")
     manifest = tmp_path / "huge.jsonl"
     manifest.write_text(text.replace('"id": "u2"', f'"id": {"9" * 5000}'), encoding="utf-8")
     code = main(["compare", "--manifest", str(manifest), "--config", compare_world["config"]])

@@ -639,7 +639,7 @@ def test_he_step_builds_objects_only_for_survivors(tmp_path, monkeypatch):
     assert len(built) == matrix.frames
     assert len(result.he_injections) > 100 * config.beam_size * matrix.frames
     assert all(count <= 2 * config.beam_size for count in built), built
-    # the LM is read through logprob_row alone, and nothing rescores the n-best
+    # the LM is read through the per-frame BackoffGrid alone, and nothing rescores the n-best
     assert lm_calls == []
 
 
@@ -872,6 +872,10 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
             assert {id(r): m for r, m in tally} == {
                 id(r): sum(1 for x in records if x is r) for r in shared.values()
             }
+            # count_injected counts those entries by their injected character, as the tally does
+            for chars in ("", "".join(vocab.tokens), "".join(rng.sample(vocab.tokens, 3))):
+                assert got.count_injected(chars) == sum(m for r, m in tally if r.injected in chars)
+                assert got.count_injected(chars) == sum(1 for r in want if r.injected in chars)
             checked += len(got)
     assert checked > 1000
     assert HEAudit() == () and () == HEAudit() and not HEAudit() and list(HEAudit().tally()) == []
@@ -893,6 +897,7 @@ def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
     matrix = matrix_from_linear(_quantised_rows(rng, 5, vocab.size))
     audit = decode(matrix, vocab, index, lm, DecoderConfig()).he_injections
     assert len(audit) > 0 and built == []
+    assert audit.count_injected(set(vocab.tokens)) == len(audit) and built == []
     records = list(audit)
     assert len(built) == len({id(r) for r in records}) < len(records)
     list(audit.tally())

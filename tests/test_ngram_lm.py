@@ -154,10 +154,11 @@ def test_context_is_the_normalised_tail_after_the_start_symbol(tmp_path):
         assert trigram.context(history[-trigram.order :]) == trigram.context(history)
 
 
-def test_logprob_row_equals_conditional_logprob(tmp_path):
+def test_backoff_grid_equals_conditional_logprob(tmp_path):
     rng = random.Random(4242)
     tokens = [f"w{i}" for i in range(7)]
     unk_modes = set()
+    bare_contexts = 0  # contexts none of whose suffixes stores a successor
     for trial in range(40):
         order = trial % 4 + 1
         model = load_arpa(write_random_backoff_arpa(tmp_path / f"m{trial}.arpa", rng, tokens, order))
@@ -169,18 +170,33 @@ def test_logprob_row_equals_conditional_logprob(tmp_path):
         ids = dict(zip(known, model.row_indices(known).tolist()))
         assert sorted(ids.values()) == list(range(len(unigrams) + (0 if unk_unigram else 1)))
         assert model.row_indices(("never-seen",)).tolist() == [ids[model.unk]]
+        # every row position, then a vocabulary whose out-of-LM tokens all share <unk>'s position
+        vocab = known + ("never-1", "never-2") + tuple(rng.sample(known, len(known)))
         stored = [gram[:-1] for gram in model.probs if len(gram) > 1]
         words = tokens + ["<s>", model.unk]
-        for _ in range(25):
-            if stored and rng.random() < 0.6:
-                context = rng.choice(stored)  # hits stored successors and back-off weights
-            else:
-                context = tuple(rng.choice(words) for _ in range(rng.randint(0, order - 1)))
-            row = model.logprob_row(context)
-            assert row.shape == (len(ids),)
-            for token, position in ids.items():
-                assert row[position] == model.conditional_logprob(context, token), (context, token)
+        for _ in range(8):
+            contexts = []
+            for _ in range(rng.randint(1, 6)):
+                if stored and rng.random() < 0.6:
+                    contexts.append(rng.choice(stored))  # hits stored successors and back-off weights
+                else:
+                    contexts.append(tuple(rng.choice(words) for _ in range(rng.randint(0, order - 1))))
+            grid = model.backoff_grid(contexts)
+            for columns in (vocab, tuple(rng.choice(vocab) for _ in range(rng.randint(0, 12)))):
+                positions = model.row_indices(columns)
+                values = grid.logprob(positions)
+                assert values.shape == (len(contexts), len(columns))
+                for context, row in zip(contexts, values.tolist()):
+                    expected = [model.conditional_logprob(context, model.normalize_token(t)) for t in columns]
+                    assert [v.hex() for v in row] == [e.hex() for e in expected], context
+            assert grid.logprob(model.row_indices(())).shape == (len(contexts), 0)
+            assert grid.logprob([]).shape == (len(contexts), 0)
+            bare_contexts += sum(
+                not any(c[k:] + (t,) in model.probs for k in range(len(c)) for t in known) for c in contexts
+            )
+        assert model.backoff_grid([]).logprob(model.row_indices(vocab)).shape == (0, len(vocab))
     assert unk_modes == {"unigram", "higher", "absent"}
+    assert bare_contexts > 0
 
 
 def test_row_indices_are_row_index_per_token_and_kept(toy_model):
