@@ -111,10 +111,9 @@ class BeamHypothesis:
 class HEInjection:
     """Audit record: at step, source char's homophone was injected with prob.
 
-    One record stands for every injection of injected from source at
-    step, however many beam cells offered it; prob is the adjusted
-    probability of homophone_adjusted_prob.  HEAudit builds the records
-    when it is first read.
+    Within one read of an HEAudit, one record stands for every injection
+    of injected from source at step, however many beam cells offered it;
+    prob is the adjusted probability of homophone_adjusted_prob.
     """
 
     step: int
@@ -133,64 +132,44 @@ class HEAudit(Sequence):
     kept) and, in order, the column of every beam cell that injected from
     it.  It does not change after decode returns.  Each such cell
     contributes its column's table in full, so the sequence holds one
-    entry per injection, and entries for the same (step, source,
-    injected) are the same object.  The records are built when the audit
-    is first read; a decode whose audit is never read builds none.  len()
-    is O(1), tally() gives each distinct record once with the number of
-    entries it has, and count_injected counts entries without building
-    any.  Iteration order, indexing, ==, hash and len() are those of the
-    tuple of the same records, so an audit without injections equals ().
+    entry per injection.  The records are built anew on every read, and
+    within one read entries for the same (step, source, injected) are the
+    same object; a decode whose audit is never read builds none.  len()
+    is O(1), and count_injected counts entries without building any.
+    Iteration order, indexing, ==, hash and len() are those of the tuple
+    of the same records, so an audit without injections equals ().
     """
 
     def __init__(self) -> None:
         self._frames: list[tuple] = []  # (step, (source, homophones) per column, keep, prob, cells' columns)
-        self._tables: list[list[tuple[HEInjection, ...]] | None] = []  # built on first read
         self._len = 0
 
     def _add_frame(self, step: int, columns: list[tuple[str, tuple[str, ...]]], keep: np.ndarray,
                    prob: np.ndarray, cells: np.ndarray, entries: int) -> None:
         self._frames.append((step, columns, keep, prob, cells))
-        self._tables.append(None)
         self._len += entries
-
-    def _records(self, f: int) -> list[tuple[HEInjection, ...]]:
-        """Frame f's table: the records of each column, built once."""
-        tables = self._tables[f]
-        if tables is None:
-            step, columns, keep, prob, _ = self._frames[f]
-            kept, probs = iter(keep.tolist()), iter(prob.tolist())
-            tables = self._tables[f] = [
-                tuple(HEInjection(step, source, h, p) for h, k, p in zip(homophones, kept, probs) if k)
-                for source, homophones in columns
-            ]
-        return tables
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[HEInjection]:
-        for f, (_, _, _, _, cells) in enumerate(self._frames):
-            tables = self._records(f)
+        for step, columns, keep, prob, cells in self._frames:
+            kept, probs = iter(keep.tolist()), iter(prob.tolist())
+            tables = [
+                tuple(HEInjection(step, source, h, p) for h, k, p in zip(homophones, kept, probs) if k)
+                for source, homophones in columns
+            ]
             for k in cells.tolist():
                 yield from tables[k]
 
     def __getitem__(self, i):
         return tuple(self)[i]
 
-    def tally(self) -> Iterator[tuple[HEInjection, int]]:
-        """(record, multiplicity) for every distinct record, by frame and
-        then column; the multiplicities sum to len()."""
-        for f, (_, columns, _, _, cells) in enumerate(self._frames):
-            uses = np.bincount(cells, minlength=len(columns)).tolist()
-            for table, m in zip(self._records(f), uses):
-                for record in table:
-                    yield record, m
-
     def count_injected(self, chars) -> int:
         """The number of entries whose injected character is in chars,
         counted from each frame's keep flags and its cells' columns with
         no record built; it equals
-        sum(m for r, m in self.tally() if r.injected in chars)."""
+        sum(1 for r in self if r.injected in chars)."""
         total = 0
         for _, columns, keep, _, cells in self._frames:
             kept = iter(keep.tolist())
@@ -222,9 +201,8 @@ class NBestEntry:
 class DecodeResult:
     """The n-best list and every homophone injection in decode order.
 
-    he_injections is an HEAudit: one entry per injection, entries for the
-    same (step, source, injected) the same HEInjection object, built only
-    when read; it equals () when nothing was injected.
+    he_injections is an HEAudit: one entry per injection, its records
+    built on each read; it equals () when nothing was injected.
     """
 
     nbest: tuple[NBestEntry, ...]
@@ -440,7 +418,7 @@ def extend_homophones(
     config: DecoderConfig,
     lm: NGramModel | None = None,
     step: int = 0,
-    audit: HEAudit | list[HEInjection] | None = None,
+    audit: HEAudit | None = None,
 ) -> list[BeamHypothesis]:
     """Inject homophone siblings into this step's expansion and prune it.
 
@@ -460,11 +438,10 @@ def extend_homophones(
     columns are computed at once, as arrays over the sources'
     in-vocabulary homophones, equal bit for bit to
     homophone_adjusted_prob of min(1, exp(lp[source])) and
-    min(1, exp(lp[h])), which is never called here.  audit, if given,
-    receives the records of every source cell in the order in which
-    ctc_step created the cells: an HEAudit gets the frame's tables and
-    the column of each cell, and builds no HEInjection until read; a
-    list is extended with the records themselves.
+    min(1, exp(lp[h])), which is never called here.  audit, if given, is
+    an HEAudit; it receives the frame's tables and the column of every
+    source cell, in the order in which ctc_step created the cells, and
+    builds no HEInjection until read.
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
@@ -477,17 +454,17 @@ def extend_homophones(
     that prefix by max and cleared from the grid; every other sibling,
     and every fresh cell, enters the prune with the larger of its
     organic and sibling mass.  Only prefixes scoring at least the
-    beam_size-th best fused score become BeamHypothesis objects.
+    beam_size-th best fused score become BeamHypothesis objects.  A
+    frame with no live cell or no kept homophone leaves the sibling grid
+    all -inf, so the expansion is pruned alone.
     """
-    exp = hyps  # named hyps, as before, for callers that pass it by keyword
+    exp = hyps  # the parameter keeps the name hyps: keyword callers and the benchmark tracer read it
     if not config.he_enabled or index is None:
         return _select(exp, exp.fresh_cells(), vocab, config)
     lp = np.asarray(frame)
     width = exp.tokens.shape[0]
     live = exp.mass != NEG_INF
     cols = np.flatnonzero(live.any(axis=0))  # the source columns
-    if not cols.shape[0]:
-        return _select(exp, exp.fresh_cells(), vocab, config)
     src = np.flatnonzero(live)  # row-major
     if exp.moved:  # cells merged into a stay created before them
         order = 2 * src + 1
@@ -511,16 +488,11 @@ def extend_homophones(
     keep = prob > 0.0
     size = np.bincount(np.repeat(cols, counts)[keep], minlength=width)  # kept homophones per column
     src = src[size[src % width] > 0]
-    if not src.shape[0]:
-        return _select(exp, exp.fresh_cells(), vocab, config)
     src_col = src % width
     n = size[src_col]
     if audit is not None:
-        frame_audit = audit if isinstance(audit, HEAudit) else HEAudit()
-        frame_audit._add_frame(step, list(zip(sources, homophones)), keep, prob, np.searchsorted(cols, src_col),
-                               int(n.sum()))
-        if frame_audit is not audit:
-            audit.extend(frame_audit)
+        audit._add_frame(step, list(zip(sources, homophones)), keep, prob, np.searchsorted(cols, src_col),
+                         int(n.sum()))
 
     # every proposal as arrays: source cell src offers homophone h_id at log adjusted probability log_p
     first = np.cumsum(size) - size

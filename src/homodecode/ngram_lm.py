@@ -29,7 +29,6 @@ import numpy as np
 from .errors import MalformedLine, open_text, parse_count
 
 SENTENCE_START = "<s>"
-SENTENCE_END = "</s>"
 UNKNOWN = "<unk>"
 
 # Log10 probability of an unknown unigram when the model carries no <unk>
@@ -125,7 +124,6 @@ class NGramModel:
     probs: dict[tuple[str, ...], float]
     backoffs: dict[tuple[str, ...], float]
     start: str = SENTENCE_START
-    end: str = SENTENCE_END
     unk: str = UNKNOWN
     _rows: _RowView | None = field(default=None, init=False, repr=False, compare=False)
     _row_indices: tuple | None = field(default=None, init=False, repr=False, compare=False)

@@ -279,7 +279,7 @@ def test_two_step_he_hand_computation(tmp_path):
                            he_enabled=True, nbest=10**6, char_topk=0)
     matrix = matrix_from_linear([[0.2, 0.5, 0.1, 0.2], [0.1, 0.1, 0.1, 0.7]])
     rows = matrix.log_probs.astype(np.float64)
-    audit = []
+    audit = HEAudit()
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t in range(2):
         expanded = ctc_step(beam, rows[t], vocab, config, None)
@@ -326,12 +326,33 @@ def test_he_disabled_matches_step_output(zo2_setup):
 
 
 def test_he_with_empty_index_is_identity(tmp_path, zo2_setup):
-    vocab, _, lm = zo2_setup
+    # with nothing to inject, HE on decodes as HE off: an empty index, a
+    # lexicon whose homophones all lie outside the vocabulary (no kept
+    # homophone), and all-blank frames (no live cell)
+    vocab, index, lm = zo2_setup
     empty_index = build_homophone_index(load_lexicon(write_lexicon(tmp_path / "e.tsv", [])))
-    matrix = matrix_from_linear([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2]])
-    on = decode(matrix, vocab, empty_index, lm, DecoderConfig(he_enabled=True))
-    off = decode(matrix, vocab, empty_index, lm, DecoderConfig(he_enabled=False))
-    assert on == off
+    outside = [("左", "zo2"), ("佐", "zo2"), ("阻", "zo6"), ("助", "zo6")]
+    outside_index = build_homophone_index(load_lexicon(write_lexicon(tmp_path / "o.tsv", outside)))
+    mixed = matrix_from_linear([[0.2, 0.5, 0.3], [0.6, 0.2, 0.2]])
+    blank = matrix_from_linear([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    for he_index, matrix in ((empty_index, mixed), (outside_index, mixed), (index, blank)):
+        on = decode(matrix, vocab, he_index, lm, DecoderConfig(he_enabled=True))
+        off = decode(matrix, vocab, he_index, lm, DecoderConfig(he_enabled=False))
+        assert on == off and _hex_result(on) == _hex_result(off)
+        assert on.he_injections == () and len(on.he_injections) == 0
+
+    # an all-blank frame after a beam of non-empty prefixes, one step at a time
+    config = DecoderConfig(beam_size=5, he_enabled=True, char_topk=0)
+    beam = decode(mixed, vocab, None, lm, replace(config, he_enabled=False)).nbest
+    hyps = [BeamHypothesis(tuple(vocab.index[c] for c in e.transcript), math.log(0.3), math.log(0.2),
+                           lm_score=e.lm_score) for e in beam]
+    row = blank.log_probs[0].astype(np.float64)
+    audit = HEAudit()
+    stepped = [extend_homophones(ctc_step(hyps, row, vocab, c, lm), row, index, vocab, c, lm, audit=audit)
+               for c in (config, replace(config, he_enabled=False))]
+    hex_hyp = lambda h: (h.prefix, *(x.hex() for x in (h.p_blank, h.p_nonblank, h.lm_score, h.fused_score)))
+    assert len(stepped[0]) > 1 and [hex_hyp(h) for h in stepped[0]] == [hex_hyp(h) for h in stepped[1]]
+    assert audit == () and len(audit) == 0
 
 
 def test_he_off_bit_identical_to_plain_decoder(tmp_path):
@@ -754,11 +775,10 @@ def test_collision_record_is_the_same_in_either_beam_order(tmp_path):
 # --- the batched injection probabilities and the lazily built audit ---
 
 
-def _he_run(rows, vocab, index, config, lm=None, audit=None):
+def _he_run(rows, vocab, index, config, lm=None):
     """Step the beam over rows (log-probability arrays, not necessarily
-    normalised) and return the audit of every frame, an HEAudit unless
-    another audit is given."""
-    audit = HEAudit() if audit is None else audit
+    normalised) and return the HEAudit of every frame."""
+    audit = HEAudit()
     beam = [BeamHypothesis((), 0.0, NEG_INF)]
     for t, row in enumerate(rows):
         beam = extend_homophones(ctc_step(beam, row, vocab, config, lm), row, index, vocab, config, lm,
@@ -849,8 +869,6 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
             got = decode(matrix, vocab, index, lm, config).he_injections
             want = reference_decode(matrix, vocab, index, lm, config).he_injections
             assert isinstance(got, HEAudit) and isinstance(want, tuple)
-            # extend_homophones also fills a plain list, with the records themselves
-            assert _he_run(matrix.log_probs, vocab, index, config, lm, audit=[]) == list(want)
             assert len(got) == len(want) and bool(got) == bool(want)
             assert list(got) == list(want)
             assert got == want and want == got and hash(got) == hash(want)
@@ -859,26 +877,17 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
                 assert got[i] == want[i]
             with pytest.raises(IndexError):
                 got[len(want)]
-            # one object per (step, source, injected), the same on every read
+            # one object per (step, source, injected) within one read
             records = list(got)
             shared = {}
             for record in records:
                 assert shared.setdefault((record.step, record.source, record.injected), record) is record
-            assert all(a is b for a, b in zip(records, got))
-            # the tally gives each of those objects once, with its number of entries
-            tally = list(got.tally())
-            assert sum(m for _, m in tally) == len(got)
-            assert [r.step for r, _ in tally] == sorted(r.step for r in shared.values())
-            assert {id(r): m for r, m in tally} == {
-                id(r): sum(1 for x in records if x is r) for r in shared.values()
-            }
-            # count_injected counts those entries by their injected character, as the tally does
+            # count_injected counts the entries by their injected character
             for chars in ("", "".join(vocab.tokens), "".join(rng.sample(vocab.tokens, 3))):
-                assert got.count_injected(chars) == sum(m for r, m in tally if r.injected in chars)
                 assert got.count_injected(chars) == sum(1 for r in want if r.injected in chars)
             checked += len(got)
     assert checked > 1000
-    assert HEAudit() == () and () == HEAudit() and not HEAudit() and list(HEAudit().tally()) == []
+    assert HEAudit() == () and () == HEAudit() and not HEAudit() and HEAudit().count_injected("abc") == 0
 
 
 def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
@@ -900,5 +909,4 @@ def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
     assert audit.count_injected(set(vocab.tokens)) == len(audit) and built == []
     records = list(audit)
     assert len(built) == len({id(r) for r in records}) < len(records)
-    list(audit.tally())
-    assert audit[len(audit) - 1] is records[-1] and len(built) == len(set(map(id, records)))
+    assert audit[len(audit) - 1] == records[-1] and list(audit) == records

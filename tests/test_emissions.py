@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,9 +173,8 @@ def test_truncated_payload_rejected(tmp_path):
 
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.5]]))
-    data = open(path, "rb").read()
-    with open(path, "wb") as fh:
-        fh.write(data[:-4])
+    data = Path(path).read_bytes()
+    Path(path).write_bytes(data[:-4])
     with pytest.raises(MalformedLine):
         load_emissions(path, vocab)
 
