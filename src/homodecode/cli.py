@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .decoder import DecoderConfig, decode
 from .emissions import load_emissions, load_vocab
@@ -103,16 +103,7 @@ def cmd_decode(args) -> int:
     index = build_homophone_index(lexicon)
     lm = load_arpa(args.lm)
     emissions = load_emissions(args.emissions, vocab)
-    config = DecoderConfig(
-        beam_size=args.beam,
-        alpha=args.alpha,
-        beta=args.beta,
-        gamma=args.gamma,
-        he_enabled=args.he,
-        nbest=args.nbest,
-        char_topk=args.char_topk,
-    )
-    result = decode(emissions, vocab, index, lm, config)
+    result = decode(emissions, vocab, index, lm, _config_from_flags(DecoderConfig, args))
     print(result.best)
     # each record's fields are its JSON keys
     if args.nbest_out:
@@ -133,13 +124,7 @@ def cmd_uw_discover(args) -> int:
     lexicon = load_lexicon(args.lexicon)
     glyphs = _load_cin_dir(args.cin_dir)
     emb = load_embeddings(args.embeddings)
-    config = UWConfig(
-        jyutping_max_distance=args.jyutping_max,
-        glyph_max_distance=args.glyph_max,
-        cosine_min=args.cosine_min,
-        min_methods=args.min_methods,
-    )
-    pairs = discover_pairs(lexicon, glyphs, emb, config)
+    pairs = discover_pairs(lexicon, glyphs, emb, _config_from_flags(UWConfig, args))
     save_pairs(pairs, args.out)
     print(len(pairs))
     return 0
@@ -151,8 +136,7 @@ def cmd_uw_apply(args) -> int:
     with open_text(args.corpus) as fh:
         corpus = fh.read().splitlines()
     freq = load_frequency_table(args.freq) if args.freq else count_frequencies(corpus)
-    config = UWConfig(checker_min=args.checker_min)
-    rewritten, audit = apply_unified_writing(corpus, pairs, freq, emb, config)
+    rewritten, audit = apply_unified_writing(corpus, pairs, freq, emb, _config_from_flags(UWConfig, args))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         for sentence in rewritten:
             fh.write(sentence + "\n")
@@ -163,14 +147,19 @@ def cmd_uw_apply(args) -> int:
 
 def cmd_compare(args) -> int:
     config = ToolConfig.from_json(args.config)
+    variants = config.variants if args.variants is None else tuple(args.variants.split(","))
+    named = f"{args.config}: variants" if args.variants is None else "--variants"
+    if not variants:
+        raise FormatError(f"{named} is empty; pick from {', '.join(VARIANTS)}")
+    for n, variant in enumerate(variants):
+        if variant not in VARIANTS:
+            raise FormatError(f"{named}: unknown variant {variant!r}; pick from {', '.join(VARIANTS)}")
+        if variant in variants[:n]:
+            raise FormatError(f"{named}: variant {variant!r} is listed twice")
     manifest = load_manifest(args.manifest)
     vocab = load_vocab(config.vocab)
     index = build_homophone_index(load_lexicon(config.lexicon)) if config.lexicon else None
     lm = load_arpa(config.lm) if config.lm else None
-    variants = tuple(args.variants.split(",")) if args.variants else config.variants
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise FormatError(f"unknown variant {variant!r}; pick from {', '.join(VARIANTS)}")
 
     uw_pairs = uw_freq = uw_emb = None
     if any(VARIANTS[v].uw for v in variants) or config.uw_on_references:
@@ -206,8 +195,8 @@ def cmd_compare(args) -> int:
 
 def _config_flag(cls, name: str, convert) -> dict:
     """add_argument keywords for the flag that sets field `name` of cls:
-    the field's default, and a type that lets cls judge the value, so a
-    value cls rejects exits 2 naming the flag."""
+    the field's name as dest, its default, and a type that lets cls
+    judge the value, so a value cls rejects exits 2 naming the flag."""
 
     def parse(text: str):
         value = convert(text)
@@ -218,7 +207,13 @@ def _config_flag(cls, name: str, convert) -> dict:
         return value
 
     parse.__name__ = convert.__name__  # argparse's "invalid float value" message reads it
-    return {"type": parse, "default": getattr(cls, name)}
+    return {"type": parse, "default": getattr(cls, name), "dest": name}
+
+
+def _config_from_flags(cls, args):
+    """cls with every field that has a flag in args read from it, under
+    the field's name, and the others at their defaults."""
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", **_config_flag(DecoderConfig, "gamma", float),
                    help="homophone extension mixing weight")
     p.add_argument("--he", action=argparse.BooleanOptionalAction, default=DecoderConfig.he_enabled,
-                   help="homophone extension")
+                   dest="he_enabled", help="homophone extension")
     p.add_argument("--nbest", **_config_flag(DecoderConfig, "nbest", int), help="n-best list size")
     p.add_argument("--char-topk", **_config_flag(DecoderConfig, "char_topk", int),
                    help="most probable characters searched per frame; 0 searches the whole vocabulary")
@@ -293,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--manifest", required=True, help="JSON-lines utterance manifest")
     p.add_argument("--config", required=True, help="tool config JSON")
-    p.add_argument("--variants", default=None, help="comma-separated variant list (default: from config)")
+    p.add_argument("--variants", default=None, help="comma-separated variant list; the config's if unset")
     p.set_defaults(func=cmd_compare)
 
     return parser

@@ -23,8 +23,9 @@ bit-identical.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -122,22 +123,21 @@ class HEInjection:
     prob: float
 
 
-class HEAudit(Sequence):
-    """Every homophone injection of a decode, in decode order, as a
-    read-only sequence of HEInjection records.
+class HEAudit:
+    """Every homophone injection of a decode, in decode order: a log of
+    HEInjection records that extend_homophones writes one frame at a time.
 
-    decode fills it through extend_homophones one frame at a time: the
-    frame's injection table (per source column, the source, its
-    homophones and their adjusted probabilities, and which of them were
-    kept) and, in order, the column of every beam cell that injected from
-    it.  It does not change after decode returns.  Each such cell
-    contributes its column's table in full, so the sequence holds one
-    entry per injection.  The records are built anew on every read, and
-    within one read entries for the same (step, source, injected) are the
-    same object; a decode whose audit is never read builds none.  len()
-    is O(1), and count_injected counts entries without building any.
-    Iteration order, indexing, ==, hash and len() are those of the tuple
-    of the same records, so an audit without injections equals ().
+    A frame's entry is its injection table (per source column, the
+    source, its homophones and their adjusted probabilities, and which of
+    them were kept) and, in order, the column of every beam cell that
+    injected from it.  Each such cell contributes its column's table in
+    full, so the log holds one entry per injection.  It does not change
+    after decode returns.  len() is O(1); iteration builds the records
+    anew on every pass, and within one pass entries for the same (step,
+    source, injected) are the same object; count_injected counts entries
+    without building any, so a decode whose audit is never iterated
+    builds no record.  The log is no sequence: it is not indexed, and ==
+    and hash are those of the object.
     """
 
     def __init__(self) -> None:
@@ -162,9 +162,6 @@ class HEAudit(Sequence):
             for k in cells.tolist():
                 yield from tables[k]
 
-    def __getitem__(self, i):
-        return tuple(self)[i]
-
     def count_injected(self, chars) -> int:
         """The number of entries whose injected character is in chars,
         counted from each frame's keep flags and its cells' columns with
@@ -176,14 +173,6 @@ class HEAudit(Sequence):
             hits = [sum(1 for h, k in zip(homophones, kept) if k and h in chars) for _, homophones in columns]
             total += int(np.dot(np.bincount(cells, minlength=len(columns)), hits))
         return total
-
-    def __eq__(self, other):
-        if isinstance(other, (HEAudit, tuple)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
     def __repr__(self) -> str:
         return f"HEAudit(<{len(self)} injections>)"
@@ -202,11 +191,12 @@ class DecodeResult:
     """The n-best list and every homophone injection in decode order.
 
     he_injections is an HEAudit: one entry per injection, its records
-    built on each read; it equals () when nothing was injected.
+    built on each iteration.  Equality and hash cover the n-best only, as
+    an audit compares by identity; compare two audits with list().
     """
 
     nbest: tuple[NBestEntry, ...]
-    he_injections: HEAudit
+    he_injections: HEAudit = field(compare=False)
 
     @property
     def best(self) -> str:
@@ -269,15 +259,11 @@ class BeamExpansion:
     any further column are read.  fresh marks the cells whose prefix is
     new this frame.  The beam's own prefixes, kept by blank or repeat,
     are BeamHypothesis objects in stays; an extension that lands on one
-    is merged into it.  Records are created in row-major cell order,
-    each stay just before its row's first cell (or, with a zero-
-    probability blank, before the cell repeating its last token); when
-    a stay precedes the extension merged into it, moved maps the cell's
-    flat index to the stay's position (a cell at flat index f sits at
-    2 * f + 1, a stay before it at 2 * f).  len() is the number of
-    distinct prefixes.  extend_homophones places homophone siblings in
-    cells of this grid, widened by a column per homophone that is not a
-    frame candidate; of the expansion it changes only stays' p_nonblank.
+    is merged into it, and its cell stays live but not fresh.  len() is
+    the number of distinct prefixes.  extend_homophones places homophone
+    siblings in cells of this grid, widened by a column per homophone
+    that is not a frame candidate; of the expansion it changes only
+    stays' p_nonblank.
     """
 
     parents: list[BeamHypothesis]
@@ -290,7 +276,6 @@ class BeamExpansion:
     lm_score: np.ndarray
     fresh: np.ndarray
     stays: dict[tuple[int, ...], BeamHypothesis]
-    moved: dict[int, int]
 
     def __len__(self) -> int:
         return int(np.count_nonzero(self.fresh)) + len(self.stays)
@@ -316,7 +301,8 @@ def _select(exp: BeamExpansion, cells: tuple[np.ndarray, ...], vocab: Vocabulary
     Each fused score is (acoustic + w * lm_score) + beta * length (see
     the module docstring); a cell's acoustic score is its p_nonblank, as
     its p_blank is -inf.  Only cells at or above the beam_size-th best
-    fused score become BeamHypothesis objects.
+    fused score become BeamHypothesis objects, and only hypotheses
+    whose fused score another one shares build their transcripts.
     """
     lm_weight = config.alpha * LN10
     stays = list(exp.stays.values())
@@ -337,7 +323,10 @@ def _select(exp: BeamExpansion, cells: tuple[np.ndarray, ...], vocab: Vocabulary
         BeamHypothesis(exp.parents[i].prefix + (c,), NEG_INF, p_nb, lm_score=lm_sc, fused_score=f)
         for i, c, p_nb, lm_sc, f in zip(*(column.tolist() for column in cells))
     ]
-    beam.sort(key=lambda h: (-h.fused_score, h.text(vocab)))
+    beam.sort(key=lambda h: -h.fused_score)
+    # only exact score ties read transcripts: each run of equal scores is sorted by them, stably
+    runs = [list(run) for _, run in groupby(beam, key=lambda h: h.fused_score)]
+    beam = [h for run in runs for h in (sorted(run, key=lambda h: h.text(vocab)) if len(run) > 1 else run)]
     return beam[: config.beam_size]
 
 
@@ -390,7 +379,7 @@ def ctc_step(
     lm_score = np.array([h.lm_score for h in parents])[:, None] + inc
     exp = BeamExpansion(
         parents, {h.prefix: i for i, h in enumerate(parents)}, tokens, columns, lm_grid,
-        mass, p_nonblank, lm_score, mass != NEG_INF, {}, {},
+        mass, p_nonblank, lm_score, mass != NEG_INF, {},
     )
 
     for j, hyp in enumerate(parents):
@@ -404,8 +393,6 @@ def ctc_step(
             i, c = cell
             exp.fresh[i, c] = False
             p_nb = _logaddexp(p_nb, float(p_nonblank[i, c]))
-            if i > j:  # the stay is created before the cell; both carry the same LM score
-                exp.moved[i * width + c] = 2 * (j * width + (0 if lp_blank != NEG_INF else k))
         exp.stays[hyp.prefix] = BeamHypothesis(hyp.prefix, p_tot[j] + lp_blank, p_nb, lm_score=hyp.lm_score)
     return exp
 
@@ -439,9 +426,13 @@ def extend_homophones(
     in-vocabulary homophones, equal bit for bit to
     homophone_adjusted_prob of min(1, exp(lp[source])) and
     min(1, exp(lp[h])), which is never called here.  audit, if given, is
-    an HEAudit; it receives the frame's tables and the column of every
-    source cell, in the order in which ctc_step created the cells, and
-    builds no HEInjection until read.
+    the HEAudit that this function alone writes and orders: it receives
+    the frame's tables and the column of every source cell, in the order
+    in which ctc_step creates the cells' records (row-major, each stay
+    just before its row's first cell, or with a zero-probability blank
+    before the cell repeating its last token; a cell merged into a stay
+    is listed where the first of the two is created), and builds no
+    HEInjection until iterated.
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
@@ -466,10 +457,16 @@ def extend_homophones(
     live = exp.mass != NEG_INF
     cols = np.flatnonzero(live.any(axis=0))  # the source columns
     src = np.flatnonzero(live)  # row-major
-    if exp.moved:  # cells merged into a stay created before them
-        order = 2 * src + 1
-        order[np.searchsorted(src, list(exp.moved))] = list(exp.moved.values())
-        src = src[np.argsort(order)]
+    # the audit's order: the cell at flat index f is created at 2f + 1, the stay of row j at
+    # 2 (j * width + k), k being 0 or, with a zero-probability blank, the column that it repeats
+    created = 2 * src + 1
+    for prefix in exp.stays:
+        cell = exp.cell(prefix)
+        if cell is not None:
+            k = 0 if lp[vocab.blank_index] != NEG_INF else int(exp.columns[prefix[-1]])
+            at = np.searchsorted(src, cell[0] * width + cell[1])
+            created[at] = min(created[at], 2 * (exp.rows[prefix] * width + k))
+    src = src[np.argsort(created)]
 
     # every source column's in-vocabulary homophones in homophones_of order, concatenated in column
     # order, with their polyphone discounts max(0, 1 - log10 N) (N a homophone's number of codes; one

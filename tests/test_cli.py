@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -210,12 +211,9 @@ def test_decode_char_topk_flag(decode_world, tmp_path, capsys):
 
 def test_decode_defaults_are_decoder_config_defaults():
     args = build_parser().parse_args(["decode", "--emissions", "e", "--vocab", "v", "--lexicon", "x", "--lm", "m"])
-    parsed = {
-        "beam_size": args.beam, "alpha": args.alpha, "beta": args.beta, "gamma": args.gamma,
-        "he_enabled": args.he, "nbest": args.nbest, "char_topk": args.char_topk,
-    }
+    # every field has a flag whose parsed value sits under the field's name
     defaults = DecoderConfig()
-    assert parsed == {name: getattr(defaults, name) for name in parsed}
+    assert {f.name: getattr(args, f.name) for f in fields(DecoderConfig)} == vars(defaults)
 
 
 @pytest.fixture
@@ -291,12 +289,10 @@ def test_uw_discover_help_states_min_methods_default_once(capsys):
 def test_uw_discover_defaults_are_uw_config_defaults():
     args = build_parser().parse_args(["uw", "discover", "--lexicon", "x", "--cin-dir", "c", "--embeddings", "e",
                                       "--out", "o"])
-    parsed = {
-        "jyutping_max_distance": args.jyutping_max, "glyph_max_distance": args.glyph_max,
-        "cosine_min": args.cosine_min, "min_methods": args.min_methods,
-    }
+    # every threshold of discovery has a flag whose parsed value sits under the field's name
+    names = ("jyutping_max_distance", "glyph_max_distance", "cosine_min", "min_methods")
     defaults = UWConfig()
-    assert parsed == {name: getattr(defaults, name) for name in parsed}
+    assert {name: getattr(args, name) for name in names} == {name: getattr(defaults, name) for name in names}
     # discovery never reads the checker threshold, so it has no flag
     assert not hasattr(args, "checker_min")
 
@@ -525,11 +521,25 @@ def test_compare_perfect_hypotheses_zero_cer(compare_world, capsys):
         assert float(line.split("\t")[1]) == 0.0
 
 
-def test_compare_unknown_variant_exit_2(compare_world, capsys):
-    code = main(["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"],
-                 "--variants", "baseline,nope"])
+def test_compare_unknown_variant_exit_2(compare_world, tmp_path, capsys):
+    args = ["compare", "--manifest", compare_world["manifest"], "--config", compare_world["config"]]
+    code = main(args + ["--variants", "baseline,nope"])
     assert code == 2
-    assert "nope" in capsys.readouterr().err
+    assert "--variants: unknown variant 'nope'" in capsys.readouterr().err
+
+    # an empty or repeated list would print a table without rows, or the same row twice; an empty
+    # flag names no variant rather than falling back to the config's list
+    assert main(args + ["--variants", "lm,lm"]) == 2
+    assert "--variants: variant 'lm' is listed twice" in capsys.readouterr().err
+    assert main(args + ["--variants", ""]) == 2
+    assert "--variants: unknown variant ''" in capsys.readouterr().err
+    config = json.loads(Path(compare_world["config"]).read_text(encoding="utf-8"))
+    for variants, message in (([], "variants is empty"), (["lm", "lm"], "variants: variant 'lm' is listed twice")):
+        path = tmp_path / "variants.json"
+        path.write_text(json.dumps({**config, "variants": variants}), encoding="utf-8")
+        assert main(["compare", "--manifest", compare_world["manifest"], "--config", str(path)]) == 2
+        assert f"{path}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_non_utf8_config_exit_2(compare_world, tmp_path, capsys):

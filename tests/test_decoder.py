@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_he_flips_ranking_with_hand_computed_scores(zo2_setup):
     assert fused["左"] == pytest.approx(p_left + 0.45 * LN10 * -1.0 + 1.55, abs=1e-12)
     assert fused["阻"] == pytest.approx(p_zu + 0.45 * LN10 * -0.5 + 1.55, abs=1e-12)
     assert no_he.best == "左"
-    assert no_he.he_injections == ()
+    assert len(no_he.he_injections) == 0
 
     with_he = decode(matrix, vocab, index, lm, DecoderConfig(
         beam_size=20, alpha=0.45, beta=1.55, gamma=0.5,
@@ -339,7 +340,7 @@ def test_he_with_empty_index_is_identity(tmp_path, zo2_setup):
         on = decode(matrix, vocab, he_index, lm, DecoderConfig(he_enabled=True))
         off = decode(matrix, vocab, he_index, lm, DecoderConfig(he_enabled=False))
         assert on == off and _hex_result(on) == _hex_result(off)
-        assert on.he_injections == () and len(on.he_injections) == 0
+        assert len(on.he_injections) == 0 and not on.he_injections
 
     # an all-blank frame after a beam of non-empty prefixes, one step at a time
     config = DecoderConfig(beam_size=5, he_enabled=True, char_topk=0)
@@ -352,7 +353,7 @@ def test_he_with_empty_index_is_identity(tmp_path, zo2_setup):
                for c in (config, replace(config, he_enabled=False))]
     hex_hyp = lambda h: (h.prefix, *(x.hex() for x in (h.p_blank, h.p_nonblank, h.lm_score, h.fused_score)))
     assert len(stepped[0]) > 1 and [hex_hyp(h) for h in stepped[0]] == [hex_hyp(h) for h in stepped[1]]
-    assert audit == () and len(audit) == 0
+    assert len(audit) == 0 and list(audit) == []
 
 
 def test_he_off_bit_identical_to_plain_decoder(tmp_path):
@@ -392,7 +393,9 @@ def test_determinism_including_audit(zo2_setup):
     config = DecoderConfig()
     first = decode(matrix, vocab, index, lm, config)
     second = decode(matrix, vocab, index, lm, config)
-    assert first == second
+    # DecodeResult equality covers the n-best only, so the audits are compared record by record
+    assert first == second and len(first.he_injections) > 0
+    assert list(first.he_injections) == list(second.he_injections)
 
 
 def test_beam_monotone_degradation():
@@ -664,6 +667,35 @@ def test_he_step_builds_objects_only_for_survivors(tmp_path, monkeypatch):
     assert lm_calls == []
 
 
+def test_prune_builds_transcripts_only_for_score_ties(tmp_path, monkeypatch):
+    # the prune orders by fused score and joins a transcript only inside a
+    # run of equal scores; with a beam wide enough to keep every prefix,
+    # the hypotheses it orders are the beam it returns
+    rng = random.Random(1510)
+    vocab, index, lm = _random_he_world(rng, tmp_path)
+    calls = [0]
+    real_text = BeamHypothesis.text
+
+    def counted_text(self, vocab):
+        calls[0] += 1
+        return real_text(self, vocab)
+
+    monkeypatch.setattr(BeamHypothesis, "text", counted_text)
+    frames = {"tied": 0, "untied": 0}
+    for he_enabled, use_lm in ((False, None), (True, None), (True, lm)):
+        config = DecoderConfig(beam_size=10**6, he_enabled=he_enabled, char_topk=0)
+        beam = [BeamHypothesis((), 0.0, NEG_INF)]
+        for row in matrix_from_linear(_quantised_rows(rng, 3, vocab.size)).log_probs:
+            calls[0] = 0
+            beam = extend_homophones(ctc_step(beam, row, vocab, config, use_lm), row, index, vocab, config, use_lm)
+            assert calls[0] == sum(n for n in Counter(h.fused_score for h in beam).values() if n > 1)
+            frames["tied"] += calls[0] > 0
+            frames["untied"] += calls[0] < len(beam)
+            keys = [(-h.fused_score, real_text(h, vocab)) for h in beam]
+            assert keys == sorted(keys)
+    assert all(frames.values()), frames
+
+
 def test_frame_candidates_match_full_sort_on_ties_and_non_finite():
     rng = random.Random(17)
     for _ in range(300):
@@ -871,12 +903,7 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
             assert isinstance(got, HEAudit) and isinstance(want, tuple)
             assert len(got) == len(want) and bool(got) == bool(want)
             assert list(got) == list(want)
-            assert got == want and want == got and hash(got) == hash(want)
-            assert got[:3] == want[:3] and got[-3:] == want[-3:]
-            for i in rng.sample(range(-len(want), len(want)), min(len(want), 20)):
-                assert got[i] == want[i]
-            with pytest.raises(IndexError):
-                got[len(want)]
+            rng.sample(range(2 * len(want)), min(len(want), 20))  # once drew indices; kept so the cases stay the same
             # one object per (step, source, injected) within one read
             records = list(got)
             shared = {}
@@ -887,7 +914,7 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
                 assert got.count_injected(chars) == sum(1 for r in want if r.injected in chars)
             checked += len(got)
     assert checked > 1000
-    assert HEAudit() == () and () == HEAudit() and not HEAudit() and HEAudit().count_injected("abc") == 0
+    assert len(HEAudit()) == 0 and not HEAudit() and list(HEAudit()) == [] and HEAudit().count_injected("abc") == 0
 
 
 def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
@@ -909,4 +936,4 @@ def test_unread_audit_builds_no_records(tmp_path, monkeypatch):
     assert audit.count_injected(set(vocab.tokens)) == len(audit) and built == []
     records = list(audit)
     assert len(built) == len({id(r) for r in records}) < len(records)
-    assert audit[len(audit) - 1] == records[-1] and list(audit) == records
+    assert list(audit) == records
