@@ -58,10 +58,13 @@ class DecoderConfig:
     with V <= char_topk is searched exactly.  The beam extends by every
     candidate in one array pass, so exact search without homophone
     extension is practical at V = 32k; with it, every candidate becomes
-    an injection source, so this bound is what keeps a 32k-character
-    vocabulary fast.  gamma weighs a homophone's own emission against its
-    source's in homophone_adjusted_prob; it is checked here, once, as the
-    search computes that formula as arrays without the function's checks.
+    an injection source whose homophones are gathered, scored and
+    scattered each frame (hundreds of thousands of edges when every entry
+    of a 32k-character vocabulary is a source), so this bound is what
+    keeps such a vocabulary fast.  gamma weighs a homophone's own
+    emission against its source's in homophone_adjusted_prob; it is
+    checked here, once, as the search computes that formula as arrays
+    without the function's checks.
     """
 
     beam_size: int = 20
@@ -128,50 +131,55 @@ class HEAudit:
     HEInjection records that extend_homophones writes one frame at a time.
 
     A frame's entry is its injection table (per source column, the
-    source, its homophones and their adjusted probabilities, and which of
-    them were kept) and, in order, the column of every beam cell that
-    injected from it.  Each such cell contributes its column's table in
-    full, so the log holds one entry per injection.  It does not change
-    after decode returns.  len() is O(1); iteration builds the records
-    anew on every pass, and within one pass entries for the same (step,
-    source, injected) are the same object; count_injected counts entries
-    without building any, so a decode whose audit is never iterated
-    builds no record.  The log is no sequence: it is not indexed, and ==
-    and hash are those of the object.
+    source's vocabulary id and its number of homophones; concatenated in
+    column order, the homophones' ids, their adjusted probabilities and
+    which of them were kept) and, in order, the column of every beam cell
+    that injected from it.  Each such cell contributes its column's table
+    in full, so the log holds one entry per injection.  It does not change
+    after decode returns.  len() is O(1); iteration builds the records,
+    their strings included, anew on every pass, and within one pass
+    entries for the same (step, source, injected) are the same object;
+    count_injected reads the ids and builds no record, so a decode whose
+    audit is never iterated builds no record.  The log is no sequence: it
+    is not indexed, and == and hash are those of the object.
     """
 
     def __init__(self) -> None:
-        self._frames: list[tuple] = []  # (step, (source, homophones) per column, keep, prob, cells' columns)
+        self._frames: list[tuple] = []  # (step, vocab, sources, counts, homophones, keep, prob, cells' columns)
         self._len = 0
 
-    def _add_frame(self, step: int, columns: list[tuple[str, tuple[str, ...]]], keep: np.ndarray,
-                   prob: np.ndarray, cells: np.ndarray, entries: int) -> None:
-        self._frames.append((step, columns, keep, prob, cells))
+    def _add_frame(self, step: int, vocab: Vocabulary, sources: np.ndarray, counts: np.ndarray,
+                   homophones: np.ndarray, keep: np.ndarray, prob: np.ndarray, cells: np.ndarray,
+                   entries: int) -> None:
+        self._frames.append((step, vocab, sources, counts, homophones, keep, prob, cells))
         self._len += entries
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[HEInjection]:
-        for step, columns, keep, prob, cells in self._frames:
-            kept, probs = iter(keep.tolist()), iter(prob.tolist())
+        for step, vocab, sources, counts, homophones, keep, prob, cells in self._frames:
+            tokens, bounds = vocab.tokens, np.cumsum(counts).tolist()
+            entries = list(zip(homophones.tolist(), keep.tolist(), prob.tolist()))
             tables = [
-                tuple(HEInjection(step, source, h, p) for h, k, p in zip(homophones, kept, probs) if k)
-                for source, homophones in columns
+                tuple(HEInjection(step, tokens[s], tokens[h], p) for h, k, p in entries[end - n : end] if k)
+                for s, n, end in zip(sources.tolist(), counts.tolist(), bounds)
             ]
             for k in cells.tolist():
                 yield from tables[k]
 
     def count_injected(self, chars) -> int:
         """The number of entries whose injected character is in chars,
-        counted from each frame's keep flags and its cells' columns with
-        no record built; it equals
-        sum(1 for r in self if r.injected in chars)."""
+        counted from each frame's homophone ids, keep flags and cells'
+        columns with no record built; it equals
+        sum(1 for r in self if r.injected in chars).  A homophone is one
+        character, so its id is compared by its code point."""
+        wanted = [ord(c) for c in set(chars) if len(c) == 1]
         total = 0
-        for _, columns, keep, _, cells in self._frames:
-            kept = iter(keep.tolist())
-            hits = [sum(1 for h, k in zip(homophones, kept) if k and h in chars) for _, homophones in columns]
-            total += int(np.dot(np.bincount(cells, minlength=len(columns)), hits))
+        for _, vocab, _, counts, homophones, keep, _, cells in self._frames:
+            hit = keep & np.isin(vocab.code_points[homophones], wanted)
+            hits = np.bincount(np.repeat(np.arange(counts.shape[0]), counts)[hit], minlength=counts.shape[0])
+            total += int(np.dot(np.bincount(cells, minlength=counts.shape[0]), hits))
         return total
 
     def __repr__(self) -> str:
@@ -423,16 +431,18 @@ def extend_homophones(
     character, so each distinct source gets one injection table per
     call, shared by every cell it extends.  The tables of all source
     columns are computed at once, as arrays over the sources'
-    in-vocabulary homophones, equal bit for bit to
+    in-vocabulary homophones, which index.in_vocab_homophones gathers
+    from the index's integer arrays (their ids in homophones_of order and
+    their code counts N, with no homophones_of call), equal bit for bit to
     homophone_adjusted_prob of min(1, exp(lp[source])) and
     min(1, exp(lp[h])), which is never called here.  audit, if given, is
     the HEAudit that this function alone writes and orders: it receives
-    the frame's tables and the column of every source cell, in the order
-    in which ctc_step creates the cells' records (row-major, each stay
-    just before its row's first cell, or with a zero-probability blank
-    before the cell repeating its last token; a cell merged into a stay
-    is listed where the first of the two is created), and builds no
-    HEInjection until iterated.
+    the frame's tables as id arrays and the column of every source cell,
+    in the order in which ctc_step creates the cells' records
+    (row-major, each stay just before its row's first cell, or with a
+    zero-probability blank before the cell repeating its last token; a
+    cell merged into a stay is listed where the first of the two is
+    created), and builds no HEInjection or string until iterated.
     A sibling is one more cell of the expansion's (parent x token) grid,
     widened by a column for each offered homophone that is not a frame
     candidate; such a column has no organic mass, and its LM score is
@@ -472,14 +482,10 @@ def extend_homophones(
     # order, with their polyphone discounts max(0, 1 - log10 N) (N a homophone's number of codes; one
     # discount per N up to the largest) and their adjusted probabilities; exp, log and log10 are
     # math's, as numpy's can differ in the last bit, and the rest is exact as arrays
-    sources = [vocab.tokens[c] for c in exp.tokens[cols].tolist()]
-    homophones = [tuple([h for h in index.homophones_of(s) if h in vocab.index]) for s in sources]
-    flat = [h for hs in homophones for h in hs]
-    ids = np.array([vocab.index[h] for h in flat], dtype=np.intp)
-    n_pron = np.array([len(index.codes_by_char[h]) for h in flat], dtype=np.intp)
+    sources = exp.tokens[cols]
+    counts, ids, n_pron = index.in_vocab_homophones(vocab, sources)
     discount = np.array([max(0.0, 1.0 - math.log10(n)) for n in range(1, n_pron.max(initial=1) + 1)])[n_pron - 1]
-    counts = [len(hs) for hs in homophones]
-    a_p = np.repeat(np.minimum([math.exp(x) for x in lp[exp.tokens[cols]].tolist()], 1.0), counts)
+    a_p = np.repeat(np.minimum([math.exp(x) for x in lp[sources].tolist()], 1.0), counts)
     q = np.minimum([math.exp(x) for x in lp[ids].tolist()], 1.0)
     prob = np.maximum(a_p, (1.0 - config.gamma) * a_p + config.gamma * q * discount)
     keep = prob > 0.0
@@ -488,7 +494,7 @@ def extend_homophones(
     src_col = src % width
     n = size[src_col]
     if audit is not None:
-        audit._add_frame(step, list(zip(sources, homophones)), keep, prob, np.searchsorted(cols, src_col),
+        audit._add_frame(step, vocab, sources, counts, ids, keep, prob, np.searchsorted(cols, src_col),
                          int(n.sum()))
 
     # every proposal as arrays: source cell src offers homophone h_id at log adjusted probability log_p
@@ -500,7 +506,8 @@ def extend_homophones(
     src = np.repeat(src, n)
 
     # widen the grid by a column per offered homophone that is no frame candidate: organic mass -inf
-    extra = np.unique(offered[exp.columns[offered] < 0])
+    extra = np.sort(offered[exp.columns[offered] < 0])
+    extra = extra[np.diff(extra, prepend=-1) != 0]  # np.unique's result without its slower hash table
     columns = exp.columns.copy()
     columns[extra] = width + np.arange(extra.shape[0])
     tokens = np.concatenate((exp.tokens, extra))
@@ -511,8 +518,10 @@ def extend_homophones(
     organic = np.hstack((exp.p_nonblank, np.full(inc.shape, NEG_INF)))
     new = np.hstack((exp.fresh, np.zeros(inc.shape, dtype=bool)))
 
-    sibling = np.full(organic.shape, NEG_INF)
-    np.maximum.at(sibling, (src // width, columns[h_id]), exp.mass.ravel()[src] + log_p)
+    # a flat index: np.maximum.at takes its fast path only for one index array
+    sibling = np.full(organic.size, NEG_INF)
+    np.maximum.at(sibling, src // width * tokens.shape[0] + columns[h_id], exp.mass.ravel()[src] + log_p)
+    sibling = sibling.reshape(organic.shape)
     for prefix, stay in exp.stays.items():
         i = exp.rows.get(prefix[:-1], -1) if prefix else -1
         c = int(columns[prefix[-1]]) if i >= 0 else -1

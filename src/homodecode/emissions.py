@@ -21,15 +21,33 @@ ROW_SUM_TOLERANCE = 1e-4
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Ordered token list with one designated CTC blank."""
+    """Ordered token list with one designated CTC blank.
+
+    Tokens must be distinct.  code_points holds each token's code point
+    as int32, or -1 for a token that is not one character, and
+    code_point_order the ids in code-point order; both are read-only,
+    built once here, and take no part in == or repr.
+    """
 
     tokens: tuple[str, ...]
     blank_index: int
     index: dict[str, int] = field(default_factory=dict, repr=False)
+    code_points: np.ndarray = field(init=False, compare=False, repr=False)
+    code_point_order: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        index = {t: i for i, t in enumerate(self.tokens)}
+        if len(index) != len(self.tokens):
+            duplicate = next(t for i, t in enumerate(self.tokens) if index[t] != i)
+            raise ValueError(f"duplicate vocabulary token {duplicate!r}")
         if not self.index:
-            object.__setattr__(self, "index", {t: i for i, t in enumerate(self.tokens)})
+            object.__setattr__(self, "index", index)
+        points = np.fromiter((ord(t) if len(t) == 1 else -1 for t in self.tokens), dtype=np.int32,
+                             count=len(self.tokens))
+        order = np.argsort(points, kind="stable")
+        for name, array in (("code_points", points), ("code_point_order", order)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def size(self) -> int:

@@ -1,19 +1,26 @@
 """Jyutping lexicon and input-method (cin) table loading.
 
 Builds the homophone index that maps each Jyutping code (syllable +
-tone) to its character set, and each character to its codes.  Both maps
-are immutable after construction and safe to share across concurrent
+tone) to its character set, and each character to its codes, as dicts
+and as integer arrays from one sort of the lexicon's pairs.  All of it
+is immutable after construction and safe to share across concurrent
 decodes.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import groupby
+from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .errors import MalformedLine, open_text
+
+if TYPE_CHECKING:
+    from .emissions import Vocabulary
 
 _JYUTPING_RE = re.compile(r"^([a-z]+)([0-9])$")
 
@@ -59,11 +66,22 @@ class HomophoneIndex:
     deduplicated and ordered by Unicode code point.  codes_by_char gives
     the distinct codes listing a character, sorted; their number is the
     character's pronunciation (polyphone) count.  build_homophone_index
-    builds both.
+    builds both, and the same two groupings as read-only int32 arrays.  A
+    character's row is its position in points, the sorted code points of
+    codes_by_char's keys; a code's id is its position in by_code.  In CSR
+    form, row r's code ids are char_codes[char_ptr[r]:char_ptr[r + 1]]
+    and code k's rows, in code-point order, are
+    code_rows[code_ptr[k]:code_ptr[k + 1]].  The arrays take no part in ==
+    or repr.
     """
 
     by_code: dict[str, tuple[str, ...]]
     codes_by_char: dict[str, tuple[str, ...]]
+    points: np.ndarray = field(compare=False, repr=False)
+    char_ptr: np.ndarray = field(compare=False, repr=False)
+    char_codes: np.ndarray = field(compare=False, repr=False)
+    code_ptr: np.ndarray = field(compare=False, repr=False)
+    code_rows: np.ndarray = field(compare=False, repr=False)
 
     def homophones_of(self, char: str) -> tuple[str, ...]:
         """Union of all characters sharing any code with char, minus char."""
@@ -72,6 +90,65 @@ class HomophoneIndex:
             out.update(self.by_code[code])
         out.discard(char)
         return tuple(sorted(out))
+
+    def in_vocab_homophones(self, vocab: Vocabulary, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The in-vocabulary homophones of the vocabulary entries ids, as
+        arrays: per entry their number; concatenated in entry order, their
+        vocabulary ids; and per homophone its code count N.  Entry k's are
+        tuple(h for h in homophones_of(vocab.tokens[ids[k]]) if h in
+        vocab.index), in that order, and h's N is len(codes_by_char[h]).
+
+        The scalar walk's work as gathers: each entry's codes, those codes'
+        rows, one sort of the (entry, row) keys that drops repeats and the
+        entry itself, and one search of the vocabulary's code points.
+        """
+        rows = _positions(self.points, vocab.code_points[ids])
+        n_codes = np.where(rows >= 0, self.char_ptr[rows + 1] - self.char_ptr[rows], 0)
+        entry = np.repeat(np.arange(rows.shape[0]), n_codes)
+        codes = self.char_codes[_csr_positions(self.char_ptr[rows], n_codes)]
+        n_rows = self.code_ptr[codes + 1] - self.code_ptr[codes]
+        entry = np.repeat(entry, n_rows)
+        width = max(self.points.shape[0], 1)
+        key = np.sort(entry * width + self.code_rows[_csr_positions(self.code_ptr[codes], n_rows)])
+        entry, row = np.divmod(key[np.diff(key, prepend=-1) != 0], width)  # a polyphone pair can share two codes
+        homophone = row != rows[entry]
+        entry, row = entry[homophone], row[homophone]
+        found = _positions(vocab.code_points, self.points[row], vocab.code_point_order)
+        entry, row, found = entry[found >= 0], row[found >= 0], found[found >= 0]
+        return np.bincount(entry, minlength=rows.shape[0]), found, self.char_ptr[row + 1] - self.char_ptr[row]
+
+    def homophone_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct pair of rows sharing a code, as int32 rows first <
+        second, ordered by first, then by second."""
+        width = max(self.points.shape[0], 1)
+        # the member at flat position m of a code's rows pairs with the one d places after it, for each
+        # d up to its number of later members; one offset at a time keeps the temporaries small
+        later = np.repeat(self.code_ptr[1:], np.diff(self.code_ptr)) - np.arange(1, self.code_rows.shape[0] + 1)
+        parts = [np.zeros(0, dtype=np.int64)]
+        for d in range(1, later.max(initial=0) + 1):
+            at = np.flatnonzero(later >= d)
+            parts.append(self.code_rows[at] * np.int64(width) + self.code_rows[at + d])
+        key = np.concatenate(parts)
+        del parts  # as large as key: gone before the sort and the dedupe allocate theirs
+        key.sort()
+        first, second = np.divmod(key[np.diff(key, prepend=-1) != 0], width)  # a polyphone pair can share two codes
+        return first.astype(np.int32), second.astype(np.int32)
+
+
+def _positions(keys: np.ndarray, values: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """Where each value sits in keys, or -1 where keys holds none; keys
+    is sorted, or sorted once permuted by order."""
+    if not keys.shape[0]:
+        return np.full(values.shape, -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(keys, values, sorter=order), keys.shape[0] - 1)
+    if order is not None:
+        at = order[at]
+    return np.where(keys[at] == values, at, -1)
+
+
+def _csr_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, .., starts[k] + lengths[k] - 1 for each k, concatenated."""
+    return np.arange(lengths.sum()) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
 
 
 @dataclass(frozen=True)
@@ -146,14 +223,58 @@ def build_homophone_index(lex: Lexicon) -> HomophoneIndex:
     """Group lexicon characters by exact (syllable, tone) code.
 
     Pure function: the same lexicon always yields an identical index.
+    Raises ValueError naming the entry if a character is not one Unicode
+    scalar, as the arrays key on code points.
     """
-    # one sorted list of distinct (character, code) pairs, grouped twice: no
-    # container per character, which keeps the build's peak memory low
-    pairs = sorted({(char, code.text) for char, code in lex.entries})
-    codes_by_char = {char: tuple(c for _, c in group) for char, group in groupby(pairs, key=itemgetter(0))}
-    pairs.sort(key=itemgetter(1))  # stable: each code's characters stay sorted
-    by_code = {code: tuple(ch for ch, _ in group) for code, group in groupby(pairs, key=itemgetter(1))}
-    return HomophoneIndex(by_code=by_code, codes_by_char=codes_by_char)
+    names, char_ptr, char_codes, points, row_entries = _distinct_pairs(lex)
+    code_ptr = np.concatenate(([0], np.cumsum(np.bincount(char_codes, minlength=len(names))))).astype(np.int32)
+    rows = np.repeat(np.arange(points.shape[0], dtype=np.int32), np.diff(char_ptr))
+    code_rows = rows[np.argsort(char_codes, kind="stable")]  # stable: each code's rows stay sorted
+    # the dicts hold the lexicon's own strings, gathered as object arrays: no per-item int or str is made
+    row_chars = np.fromiter(map(itemgetter(0), lex.entries), dtype=object, count=len(lex.entries))[row_entries]
+    codes_by_char = _grouped(row_chars.tolist(), np.array(names, dtype=object)[char_codes].tolist(),
+                             np.diff(char_ptr).tolist())
+    by_code = _grouped(names, row_chars[code_rows].tolist(), np.diff(code_ptr).tolist())
+    arrays = (points, char_ptr, char_codes, code_ptr, code_rows)
+    for array in arrays:
+        array.flags.writeable = False
+    return HomophoneIndex(by_code, codes_by_char, *arrays)
+
+
+def _distinct_pairs(lex: Lexicon) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One sort of the lexicon's distinct (code point, code) pairs: the
+    code texts, sorted, whose positions are the code ids; the pairs'
+    per-character offsets and code ids; and per character its code point
+    and an entry that lists it."""
+    entries = lex.entries
+    if set(map(len, map(itemgetter(0), entries))) - {1}:
+        char, code = next(entry for entry in entries if len(entry[0]) != 1)
+        raise ValueError(f"lexicon entry {char!r} {code.text!r}: character must be one Unicode scalar")
+    # loaded entries share code objects, so each object's text is read once; each pass over the
+    # entries is a map of built-ins, with no list of them made
+    objects = dict(zip(map(id, map(itemgetter(1), entries)), map(itemgetter(1), entries)))
+    names = sorted({code.text for code in objects.values()})
+    rank = dict(zip(names, range(len(names))))
+    rank_of = {key: rank[code.text] for key, code in objects.items()}
+    n_codes = max(len(names), 1)
+    key = np.frombuffer("".join(map(itemgetter(0), entries)).encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    key = key * np.int64(n_codes)
+    key += np.fromiter(map(rank_of.__getitem__, map(id, map(itemgetter(1), entries))), dtype=np.int64,
+                       count=len(entries))
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    distinct = np.flatnonzero(np.diff(key, prepend=-1))
+    points, char_codes = np.divmod(key[distinct], n_codes)
+    starts = np.flatnonzero(np.diff(points, prepend=-1))
+    # code points, ids and offsets fit 32 bits, which halves the arrays the index keeps
+    arrays = (np.append(starts, points.shape[0]), char_codes, points[starts])
+    return names, *(array.astype(np.int32) for array in arrays), order[distinct[starts]]
+
+
+def _grouped(keys: list[str], values: list[str], lengths: list[int]) -> dict[str, tuple[str, ...]]:
+    """Each key mapped to the tuple of the next lengths[k] values, in order."""
+    rest = iter(values)
+    return {key: tuple(islice(rest, n)) for key, n in zip(keys, lengths)}
 
 
 def load_cin_table(path: str) -> GlyphCodeTable:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -249,18 +248,9 @@ _PREFILTER_MARGIN = 1e-9
 def _homophone_candidates(index: HomophoneIndex) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The index's characters in code-point order, and each distinct pair
     sharing a code as positions first < second, in the exhaustive walk's
-    order: by first, then by second."""
-    chars = sorted(index.codes_by_char)
-    row = {char: i for i, char in enumerate(chars)}
-    n = len(chars)
-    # a group lists its characters in code-point order, so the key
-    # row[x] * n + row[y] of each of its pairs has x before y
-    groups = ([row[char] for char in group] for group in index.by_code.values())
-    keys = np.fromiter((i * n + j for group in groups for i, j in combinations(group, 2)), dtype=np.int64)
-    keys.sort()
-    keys = keys[np.diff(keys, prepend=-1) != 0]  # a polyphone pair can share two codes
-    first, second = np.divmod(keys, n)
-    return chars, first, second
+    order: by first, then by second.  Only these outlive the index, whose
+    dicts discovery does not need."""
+    return list(index.codes_by_char), *index.homophone_pairs()
 
 
 def _cosine_prefilter(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -172,6 +173,29 @@ def plain_prefix_beam_decode(log_probs, blank, tokens, beam_size, alpha, beta,
         result.append((prefix, p_b, p_nb, lm_sc, fused))
     result.sort(key=lambda x: (-x[4], "".join(tokens[i] for i in x[0])))
     return result
+
+
+# --- the homophone index's two groupings, built from sorted tuples (the
+#     build before its integer arrays) ---
+
+def reference_homophone_groupings(entries):
+    """by_code and codes_by_char of (character, JyutpingCode) entries,
+    with the old build's insertion order: characters and codes sorted."""
+    pairs = sorted({(char, code.text) for char, code in entries})
+    codes_by_char = {char: tuple(c for _, c in group) for char, group in itertools.groupby(pairs, key=itemgetter(0))}
+    pairs.sort(key=itemgetter(1))  # stable: each code's characters stay sorted
+    by_code = {code: tuple(ch for ch, _ in group) for code, group in itertools.groupby(pairs, key=itemgetter(1))}
+    return by_code, codes_by_char
+
+
+def reference_homophone_pairs(by_code):
+    """The characters of by_code's groups in code-point order, and each
+    distinct pair sharing a code as positions first < second, ordered by
+    first, then by second: the walk over every group's combinations."""
+    chars = sorted({char for group in by_code.values() for char in group})
+    row = {char: i for i, char in enumerate(chars)}
+    pairs = {(row[x], row[y]) for group in by_code.values() for x, y in itertools.combinations(group, 2)}
+    return chars, sorted(pairs)
 
 
 # --- frozen per-injection beam step (the decoder before its per-frame

@@ -19,7 +19,7 @@ from homodecode.decoder import (
 )
 from homodecode.emissions import EmissionMatrix, Vocabulary
 from homodecode.errors import EmptyEmissions, InvalidProbability
-from homodecode.lexicon import build_homophone_index, load_lexicon
+from homodecode.lexicon import JyutpingCode, Lexicon, build_homophone_index, load_lexicon
 from homodecode.ngram_lm import load_arpa, score_increment, score_sequence
 
 from helpers import write_arpa, write_lexicon, write_random_backoff_arpa
@@ -915,6 +915,31 @@ def test_audit_matches_the_reference_record_tuple_on_he_worlds(tmp_path):
             checked += len(got)
     assert checked > 1000
     assert len(HEAudit()) == 0 and not HEAudit() and list(HEAudit()) == [] and HEAudit().count_injected("abc") == 0
+
+
+def test_audit_matches_the_reference_with_astral_polyphones_and_token_sources():
+    # the audit keeps ids and builds its strings when read: sources include
+    # multi-character tokens (no homophones) and astral characters, two
+    # characters share both their codes, and some homophones are outside
+    # the vocabulary; count_injected takes strings, sets and lists
+    rng = random.Random(2307)
+    pool = ["左", "阻", "\U00020000", "\U00020001", "俎", "重", "中", "詛"]
+    codes = [JyutpingCode("zo", 2), JyutpingCode("zo", 6), JyutpingCode("zung", 1)]
+    entries = [(c, code) for c in pool for code in rng.sample(codes, rng.randint(1, 2))]
+    entries += [(c, code) for c in ("重", "中") for code in codes[1:]]
+    index = build_homophone_index(Lexicon(tuple(dict.fromkeys(entries))))
+    vocab = Vocabulary(("<b>", "<unk>", "ab") + tuple(pool[:6]) + ("面",), 0)
+    checked = 0
+    for _ in range(12):
+        matrix = matrix_from_linear(_quantised_rows(rng, rng.randint(1, 4), vocab.size))
+        config = DecoderConfig(beam_size=rng.randint(1, 6), gamma=rng.random(), char_topk=rng.choice((0, 3)))
+        got = decode(matrix, vocab, index, None, config).he_injections
+        want = reference_decode(matrix, vocab, index, None, config).he_injections
+        assert len(got) == len(want) and list(got) == list(want)
+        for chars in ("", "".join(pool), set(pool[2:4]) | {"ab", "<unk>"}, list(vocab.tokens), ["\U00020000左"]):
+            assert got.count_injected(chars) == sum(1 for r in want if r.injected in chars)
+        checked += len(got)
+    assert checked > 100
 
 
 def test_unread_audit_builds_no_records(tmp_path, monkeypatch):

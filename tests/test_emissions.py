@@ -83,6 +83,25 @@ def test_vocab_round_trip(tmp_path):
     assert loaded.blank_index == 0
 
 
+def test_vocab_built_directly_refuses_a_duplicate_token():
+    # the last duplicate would win in vocab.index, and the first in the
+    # code-point lookup, so the two could name different ids
+    with pytest.raises(ValueError, match="^duplicate vocabulary token '左'$"):
+        Vocabulary(("<b>", "左", "阻", "左"), 0)
+    with pytest.raises(ValueError, match="^duplicate vocabulary token '<b>'$"):
+        Vocabulary(("<b>", "<b>"), 0)
+
+
+def test_vocab_code_points():
+    vocab = Vocabulary(("<b>", "左", "a", "\U00020000", "", "阻"), 0)
+    assert vocab.code_points.tolist() == [-1, ord("左"), ord("a"), 0x20000, -1, ord("阻")]
+    assert vocab.code_point_order.tolist() == [0, 4, 2, 1, 5, 3]
+    assert not vocab.code_points.flags.writeable and not vocab.code_point_order.flags.writeable
+    # the arrays take no part in == or repr
+    assert vocab == Vocabulary(vocab.tokens, 0)
+    assert repr(vocab) == f"Vocabulary(tokens={vocab.tokens!r}, blank_index=0)"
+
+
 def test_emissions_uniform_row(tmp_path):
     vocab = Vocabulary(("<b>", "a"), 0)
     path = write_emat_raw(tmp_path / "m.emat", ln_rows([[0.5, 0.5]]))

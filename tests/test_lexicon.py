@@ -1,10 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
+from homodecode.emissions import Vocabulary
 from homodecode.errors import MalformedLine
 from homodecode.lexicon import (
     JyutpingCode,
+    Lexicon,
     build_homophone_index,
     load_cin_table,
     load_lexicon,
@@ -12,6 +15,7 @@ from homodecode.lexicon import (
 )
 
 from helpers import table1_entries, write_cin, write_lexicon
+from oracles import reference_homophone_groupings
 
 
 def test_load_two_entries_under_one_code(tmp_path):
@@ -118,6 +122,121 @@ def test_index_is_pure(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", table1_entries())
     lex = load_lexicon(path)
     assert build_homophone_index(lex) == build_homophone_index(lex)
+
+
+def _random_lexicon(rng, shared_codes):
+    """Entries over CJK, ASCII, astral and lone-surrogate characters with
+    polyphones, some pairs sharing two codes; with shared_codes the
+    entries of one code text share one JyutpingCode, as load_lexicon's do,
+    and otherwise each entry has its own."""
+    pool = [chr(0x4E00 + i) for i in range(30)] + ["a", "#", "\U00020000", "\U0010FFFF", "\ud800"]
+    texts = [f"{s}{t}" for s in ("zo", "sai", "wong") for t in (1, 2, 6)]
+    parsed = {text: JyutpingCode.parse(text) for text in texts}
+    entries = [(char, text) for char in pool for text in rng.sample(texts, rng.randint(1, 3))]
+    x, y = rng.sample(pool, 2)  # a polyphone pair under the same two codes
+    entries += [(char, text) for char in (x, y) for text in texts[:2]]
+    rng.shuffle(entries)
+    code = (lambda text: parsed[text]) if shared_codes else JyutpingCode.parse
+    return Lexicon(tuple(dict.fromkeys((char, code(text)) for char, text in entries)))
+
+
+def test_index_groupings_equal_the_reference_build(tmp_path):
+    # by_code and codes_by_char equal the sorted-tuple build in content
+    # and in insertion order, whether entries share code objects or not
+    rng = random.Random(2301)
+    lexicons = [_random_lexicon(rng, shared) for shared in (True, False) * 4]
+    lexicons += [Lexicon(()), load_lexicon(write_lexicon(tmp_path / "t.tsv", table1_entries()))]
+    for lex in lexicons:
+        index = build_homophone_index(lex)
+        by_code, codes_by_char = reference_homophone_groupings(lex.entries)
+        assert list(index.by_code.items()) == list(by_code.items())
+        assert list(index.codes_by_char.items()) == list(codes_by_char.items())
+        # the arrays are the same groupings
+        chars = list(codes_by_char)
+        codes = list(by_code)
+        assert index.points.tolist() == [ord(c) for c in chars]
+        for row, char in enumerate(chars):
+            span = index.char_codes[index.char_ptr[row]:index.char_ptr[row + 1]]
+            assert tuple(codes[k] for k in span) == codes_by_char[char]
+        for k, code in enumerate(codes):
+            span = index.code_rows[index.code_ptr[k]:index.code_ptr[k + 1]]
+            assert tuple(chars[r] for r in span) == by_code[code]
+        for array in (index.points, index.char_ptr, index.char_codes, index.code_ptr, index.code_rows):
+            assert not array.flags.writeable
+
+
+def test_index_arrays_take_no_part_in_eq_or_repr():
+    rng = random.Random(2302)
+    lex = _random_lexicon(rng, shared_codes=False)
+    index = build_homophone_index(lex)
+    shuffled = list(lex.entries)
+    rng.shuffle(shuffled)
+    other = build_homophone_index(Lexicon(tuple(shuffled)))
+    assert index == other
+    assert repr(index) == f"HomophoneIndex(by_code={index.by_code!r}, codes_by_char={index.codes_by_char!r})"
+    assert build_homophone_index(Lexicon(())) != index
+
+
+@pytest.mark.parametrize("char", ["", "ab", "\u5de6\u0301"])
+def test_index_refuses_a_character_that_is_not_one_scalar(char):
+    lex = Lexicon((("左", JyutpingCode("zo", 2)), (char, JyutpingCode("zo", 2))))
+    with pytest.raises(ValueError, match=f"lexicon entry {char!r} 'zo2': character must be one Unicode scalar"):
+        build_homophone_index(lex)
+
+
+def _scalar_lookup(index, vocab, token):
+    homophones = tuple(h for h in index.homophones_of(token) if h in vocab.index)
+    return [vocab.index[h] for h in homophones], [len(index.codes_by_char[h]) for h in homophones]
+
+
+def _check_lookup(index, vocab, ids):
+    counts, found, n_pron = index.in_vocab_homophones(vocab, np.array(ids, dtype=np.intp))
+    assert counts.tolist() == [len(_scalar_lookup(index, vocab, vocab.tokens[i])[0]) for i in ids]
+    ends = np.cumsum(counts).tolist()
+    for i, n, end in zip(ids, counts.tolist(), ends):
+        want_ids, want_n = _scalar_lookup(index, vocab, vocab.tokens[i])
+        assert (found[end - n:end].tolist(), n_pron[end - n:end].tolist()) == (want_ids, want_n)
+    return int(counts.sum())
+
+
+def test_in_vocab_homophones_equal_the_scalar_walk():
+    # for every character of the index, and for every entry of vocabularies
+    # that leave homophones out, hold characters absent from the lexicon, a
+    # blank and a multi-character token, the arrays give the homophones_of
+    # walk filtered by the vocabulary, in its order, with N = len(codes_by_char[h])
+    rng = random.Random(2303)
+    checked = 0
+    for shared in (True, False) * 3:
+        lex = _random_lexicon(rng, shared)
+        index = build_homophone_index(lex)
+        chars = list(index.codes_by_char)
+        absent = ["面", "\U0001F600", "z"]
+        full = ["<b>"] + chars + absent
+        rng.shuffle(full)
+        partial = ["<b>", "<unk>"] + rng.sample(chars, len(chars) // 2) + absent
+        rng.shuffle(partial)
+        for tokens in (full, partial):
+            vocab = Vocabulary(tuple(tokens), tokens.index("<b>"))
+            ids = list(range(vocab.size))
+            checked += _check_lookup(index, vocab, ids)
+            # any order, with repeats, one entry at a time, and none
+            _check_lookup(index, vocab, rng.choices(ids, k=2 * len(ids)))
+            for i in ids:
+                _check_lookup(index, vocab, [i])
+            assert _check_lookup(index, vocab, []) == 0
+    assert checked > 500
+
+
+def test_in_vocab_homophones_of_an_empty_index_and_a_shared_polyphone():
+    vocab = Vocabulary(("<b>", "重", "中", "面", "ab"), 0)
+    empty = build_homophone_index(Lexicon(()))
+    counts, found, n_pron = empty.in_vocab_homophones(vocab, np.arange(vocab.size))
+    assert counts.tolist() == [0] * vocab.size and found.size == 0 and n_pron.size == 0
+    # 重 and 中 share both their codes: each is the other's homophone once, with N = 2
+    codes = (JyutpingCode("zung", 1), JyutpingCode("cung", 4))
+    index = build_homophone_index(Lexicon(tuple((c, code) for c in "重中" for code in codes)))
+    counts, found, n_pron = index.in_vocab_homophones(vocab, np.arange(vocab.size))
+    assert counts.tolist() == [0, 1, 1, 0, 0] and found.tolist() == [2, 1] and n_pron.tolist() == [2, 2]
 
 
 def test_cin_chardef_parsing(tmp_path):

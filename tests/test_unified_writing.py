@@ -15,7 +15,14 @@ from homodecode.errors import (
     MissingEmbedding,
     ZeroVector,
 )
-from homodecode.lexicon import GlyphCodeTable, JyutpingCode, Lexicon, load_cin_table, load_lexicon
+from homodecode.lexicon import (
+    GlyphCodeTable,
+    JyutpingCode,
+    Lexicon,
+    build_homophone_index,
+    load_cin_table,
+    load_lexicon,
+)
 from homodecode.unified_writing import (
     EmbeddingTable,
     FrequencyTable,
@@ -42,6 +49,7 @@ from helpers import (
     write_embeddings,
     write_lexicon,
 )
+from oracles import reference_homophone_pairs
 
 
 # --- metric primitives ---
@@ -284,6 +292,21 @@ def test_bucketed_equals_naive(tmp_path):
         assert discover_pairs(lex, tables, emb, config) == discover_pairs_naive(
             lex, tables, emb, config
         )
+
+
+def test_homophone_pairs_equal_the_combinations_walk(tmp_path):
+    # the index's pairs are every group's combinations, deduplicated (a
+    # polyphone pair can share two codes) and ordered by first, then second
+    rng = random.Random(405)
+    lexicons = [_random_uw_world(rng, n_chars, tmp_path, tag)[0] for tag, n_chars in enumerate([1, 12, 80])]
+    codes = (JyutpingCode("zung", 1), JyutpingCode("cung", 4))
+    lexicons += [Lexicon(()), Lexicon(tuple((c, code) for c in "重中種" for code in codes))]
+    for lex in lexicons:
+        index = build_homophone_index(lex)
+        first, second = index.homophone_pairs()
+        want_chars, want_pairs = reference_homophone_pairs(index.by_code)
+        assert list(index.codes_by_char) == want_chars
+        assert list(zip(first.tolist(), second.tolist())) == want_pairs
 
 
 def _hazard_world(rng):
