@@ -23,15 +23,16 @@ ROW_SUM_TOLERANCE = 1e-4
 class Vocabulary:
     """Ordered token list with one designated CTC blank.
 
-    Tokens must be distinct.  code_points holds each token's code point
-    as int32, or -1 for a token that is not one character, and
-    code_point_order the ids in code-point order; both are read-only,
-    built once here, and take no part in == or repr.
+    Tokens must be distinct.  index maps each token to its id.
+    code_points holds each token's code point as int32, or -1 for a token
+    that is not one character, and code_point_order the ids in code-point
+    order; both are read-only and take no part in == or repr.  All three
+    are built once here, from tokens.
     """
 
     tokens: tuple[str, ...]
     blank_index: int
-    index: dict[str, int] = field(default_factory=dict, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
     code_points: np.ndarray = field(init=False, compare=False, repr=False)
     code_point_order: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -40,8 +41,7 @@ class Vocabulary:
         if len(index) != len(self.tokens):
             duplicate = next(t for i, t in enumerate(self.tokens) if index[t] != i)
             raise ValueError(f"duplicate vocabulary token {duplicate!r}")
-        if not self.index:
-            object.__setattr__(self, "index", index)
+        object.__setattr__(self, "index", index)
         points = np.fromiter((ord(t) if len(t) == 1 else -1 for t in self.tokens), dtype=np.int32,
                              count=len(self.tokens))
         order = np.argsort(points, kind="stable")

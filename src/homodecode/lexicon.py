@@ -1,9 +1,9 @@
 """Jyutping lexicon and input-method (cin) table loading.
 
 Builds the homophone index that maps each Jyutping code (syllable +
-tone) to its character set, and each character to its codes, as dicts
-and as integer arrays from one sort of the lexicon's pairs.  All of it
-is immutable after construction and safe to share across concurrent
+tone) to its character set, and each character to its codes, as
+integer arrays from one sort of the lexicon's pairs.  All of it is
+immutable after construction and safe to share across concurrent
 decodes.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -58,45 +57,54 @@ class Lexicon:
         return len(self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomophoneIndex:
-    """Characters grouped by exact (syllable, tone) code.
+    """Characters grouped by exact (syllable, tone) code, as read-only
+    int32 arrays.
 
-    by_code maps the code text form ("zo2") to its character set, each set
-    deduplicated and ordered by Unicode code point.  codes_by_char gives
-    the distinct codes listing a character, sorted; their number is the
-    character's pronunciation (polyphone) count.  build_homophone_index
-    builds both, and the same two groupings as read-only int32 arrays.  A
-    character's row is its position in points, the sorted code points of
-    codes_by_char's keys; a code's id is its position in by_code.  In CSR
-    form, row r's code ids are char_codes[char_ptr[r]:char_ptr[r + 1]]
-    and code k's rows, in code-point order, are
-    code_rows[code_ptr[k]:code_ptr[k + 1]].  The arrays take no part in ==
-    or repr.
+    codes holds the distinct code texts ("zo2"), sorted; a code's id is
+    its position there.  points holds the characters' code points,
+    sorted; a character's row is its position there.  In CSR form, row
+    r's code ids, ascending, are char_codes[char_ptr[r]:char_ptr[r + 1]]
+    (their number is the character's pronunciation count), and code k's
+    rows, in code-point order, are code_rows[code_ptr[k]:code_ptr[k + 1]].
+    build_homophone_index is the only constructor.  Equality is identity:
+    two builds of one lexicon are different objects with equal codes and
+    arrays.  The arrays take no part in repr.
     """
 
-    by_code: dict[str, tuple[str, ...]]
-    codes_by_char: dict[str, tuple[str, ...]]
-    points: np.ndarray = field(compare=False, repr=False)
-    char_ptr: np.ndarray = field(compare=False, repr=False)
-    char_codes: np.ndarray = field(compare=False, repr=False)
-    code_ptr: np.ndarray = field(compare=False, repr=False)
-    code_rows: np.ndarray = field(compare=False, repr=False)
+    codes: tuple[str, ...]
+    points: np.ndarray = field(repr=False)
+    char_ptr: np.ndarray = field(repr=False)
+    char_codes: np.ndarray = field(repr=False)
+    code_ptr: np.ndarray = field(repr=False)
+    code_rows: np.ndarray = field(repr=False)
+
+    def codes_of(self, char: str) -> tuple[str, ...]:
+        """The code texts listing char, sorted; () for a string that is
+        not a character of the index."""
+        row = _positions(self.points, np.array([ord(char) if len(char) == 1 else -1]))[0]
+        if row < 0:
+            return ()
+        return tuple(self.codes[k] for k in self.char_codes[self.char_ptr[row]:self.char_ptr[row + 1]].tolist())
 
     def homophones_of(self, char: str) -> tuple[str, ...]:
-        """Union of all characters sharing any code with char, minus char."""
-        out: set[str] = set()
-        for code in self.codes_by_char.get(char, ()):
-            out.update(self.by_code[code])
-        out.discard(char)
-        return tuple(sorted(out))
+        """Union of all characters sharing any code with char, minus char,
+        in code-point order; () for a string that is not a character of
+        the index."""
+        row = _positions(self.points, np.array([ord(char) if len(char) == 1 else -1]))[0]
+        if row < 0:
+            return ()
+        spans = [self.code_rows[self.code_ptr[k]:self.code_ptr[k + 1]]
+                 for k in self.char_codes[self.char_ptr[row]:self.char_ptr[row + 1]].tolist()]
+        return tuple(chr(point) for point in self.points[np.setdiff1d(np.concatenate(spans), row)].tolist())
 
     def in_vocab_homophones(self, vocab: Vocabulary, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The in-vocabulary homophones of the vocabulary entries ids, as
         arrays: per entry their number; concatenated in entry order, their
         vocabulary ids; and per homophone its code count N.  Entry k's are
         tuple(h for h in homophones_of(vocab.tokens[ids[k]]) if h in
-        vocab.index), in that order, and h's N is len(codes_by_char[h]).
+        vocab.index), in that order, and h's N is len(codes_of(h)).
 
         The scalar walk's work as gathers: each entry's codes, those codes'
         rows, one sort of the (entry, row) keys that drops repeats and the
@@ -220,32 +228,13 @@ def save_lexicon(lex: Lexicon, path: str) -> None:
 
 
 def build_homophone_index(lex: Lexicon) -> HomophoneIndex:
-    """Group lexicon characters by exact (syllable, tone) code.
+    """Group lexicon characters by exact (syllable, tone) code, from one
+    sort of the lexicon's distinct (code point, code id) pairs.
 
-    Pure function: the same lexicon always yields an identical index.
+    Pure function: the same lexicon always yields equal codes and arrays.
     Raises ValueError naming the entry if a character is not one Unicode
     scalar, as the arrays key on code points.
     """
-    names, char_ptr, char_codes, points, row_entries = _distinct_pairs(lex)
-    code_ptr = np.concatenate(([0], np.cumsum(np.bincount(char_codes, minlength=len(names))))).astype(np.int32)
-    rows = np.repeat(np.arange(points.shape[0], dtype=np.int32), np.diff(char_ptr))
-    code_rows = rows[np.argsort(char_codes, kind="stable")]  # stable: each code's rows stay sorted
-    # the dicts hold the lexicon's own strings, gathered as object arrays: no per-item int or str is made
-    row_chars = np.fromiter(map(itemgetter(0), lex.entries), dtype=object, count=len(lex.entries))[row_entries]
-    codes_by_char = _grouped(row_chars.tolist(), np.array(names, dtype=object)[char_codes].tolist(),
-                             np.diff(char_ptr).tolist())
-    by_code = _grouped(names, row_chars[code_rows].tolist(), np.diff(code_ptr).tolist())
-    arrays = (points, char_ptr, char_codes, code_ptr, code_rows)
-    for array in arrays:
-        array.flags.writeable = False
-    return HomophoneIndex(by_code, codes_by_char, *arrays)
-
-
-def _distinct_pairs(lex: Lexicon) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One sort of the lexicon's distinct (code point, code) pairs: the
-    code texts, sorted, whose positions are the code ids; the pairs'
-    per-character offsets and code ids; and per character its code point
-    and an entry that lists it."""
     entries = lex.entries
     if set(map(len, map(itemgetter(0), entries))) - {1}:
         char, code = next(entry for entry in entries if len(entry[0]) != 1)
@@ -261,20 +250,18 @@ def _distinct_pairs(lex: Lexicon) -> tuple[list[str], np.ndarray, np.ndarray, np
     key = key * np.int64(n_codes)
     key += np.fromiter(map(rank_of.__getitem__, map(id, map(itemgetter(1), entries))), dtype=np.int64,
                        count=len(entries))
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    distinct = np.flatnonzero(np.diff(key, prepend=-1))
-    points, char_codes = np.divmod(key[distinct], n_codes)
+    key.sort()
+    points, char_codes = np.divmod(key[np.diff(key, prepend=-1) != 0], n_codes)
     starts = np.flatnonzero(np.diff(points, prepend=-1))
+    char_ptr = np.append(starts, points.shape[0])
+    code_ptr = np.concatenate(([0], np.cumsum(np.bincount(char_codes, minlength=len(names)))))
+    rows = np.repeat(np.arange(starts.shape[0]), np.diff(char_ptr))
+    code_rows = rows[np.argsort(char_codes, kind="stable")]  # stable: each code's rows stay sorted
     # code points, ids and offsets fit 32 bits, which halves the arrays the index keeps
-    arrays = (np.append(starts, points.shape[0]), char_codes, points[starts])
-    return names, *(array.astype(np.int32) for array in arrays), order[distinct[starts]]
-
-
-def _grouped(keys: list[str], values: list[str], lengths: list[int]) -> dict[str, tuple[str, ...]]:
-    """Each key mapped to the tuple of the next lengths[k] values, in order."""
-    rest = iter(values)
-    return {key: tuple(islice(rest, n)) for key, n in zip(keys, lengths)}
+    arrays = tuple(array.astype(np.int32) for array in (points[starts], char_ptr, char_codes, code_ptr, code_rows))
+    for array in arrays:
+        array.flags.writeable = False
+    return HomophoneIndex(tuple(names), *arrays)
 
 
 def load_cin_table(path: str) -> GlyphCodeTable:

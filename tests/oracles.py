@@ -324,7 +324,7 @@ def reference_extend_homophones(hyps, frame, index, vocab, config, lm=None, step
             if h_idx is None:
                 continue
             q = min(1.0, math.exp(float(lp[h_idx])))
-            p = homophone_adjusted_prob(a_p, q, len(index.codes_by_char[h_char]), config.gamma)
+            p = homophone_adjusted_prob(a_p, q, len(index.codes_of(h_char)), config.gamma)
             if p <= 0.0:
                 continue
             if audit is not None:

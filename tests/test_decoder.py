@@ -843,7 +843,7 @@ def test_batched_adjusted_probs_equal_scalar_by_hex(tmp_path):
             lp = rows[record.step]
             lp_a, lp_q = lp[vocab.index_of(record.source)], lp[vocab.index_of(record.injected)]
             a_p, q = min(1.0, math.exp(lp_a)), min(1.0, math.exp(lp_q))
-            n = len(index.codes_by_char[record.injected])
+            n = len(index.codes_of(record.injected))
             assert record.prob.hex() == homophone_adjusted_prob(a_p, q, n, gamma).hex()
             seen["a_p clamped"] += lp_a > 0.0
             seen["q clamped"] += lp_q > 0.0
@@ -870,7 +870,7 @@ def test_scalar_range_checks_cannot_fire_on_the_hot_path(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     clamped = [min(1.0, math.exp(x)) for x in (NEG_INF, -3.4e38, -746.0, -1e-45, 0.0, 1e-7, 1e-4, 88.0)]
-    counts = {len(index.codes_by_char[h]) for c in index.codes_by_char for h in index.homophones_of(c)}
+    counts = {len(index.codes_of(h)) for c in map(chr, index.points.tolist()) for h in index.homophones_of(c)}
     assert min(counts) >= 1
     for gamma in (0, 0.5, 1, rng.random()):
         DecoderConfig(gamma=gamma)

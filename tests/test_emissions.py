@@ -92,6 +92,17 @@ def test_vocab_built_directly_refuses_a_duplicate_token():
         Vocabulary(("<b>", "<b>"), 0)
 
 
+def test_vocab_index_is_derived_from_tokens():
+    # index is built from tokens, never passed, so it cannot disagree with
+    # tokens or code_points
+    with pytest.raises(TypeError):
+        Vocabulary(("<b>", "a"), 0, index={"a": 0})
+    for tokens in ((), ("<b>",), ("<b>", "左", "a", "\U00020000", "", "阻")):
+        vocab = Vocabulary(tokens, 0)
+        assert vocab.index == {t: i for i, t in enumerate(tokens)}
+        assert all(vocab.index_of(t) == i for i, t in enumerate(tokens))
+
+
 def test_vocab_code_points():
     vocab = Vocabulary(("<b>", "左", "a", "\U00020000", "", "阻"), 0)
     assert vocab.code_points.tolist() == [-1, ord("左"), ord("a"), 0x20000, -1, ord("阻")]

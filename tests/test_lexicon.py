@@ -77,32 +77,38 @@ def test_round_trip(tmp_path):
     assert load_lexicon(str(out)).entries == lex.entries
 
 
+def _members(index, code):
+    """The characters of one code, read from the arrays."""
+    k = index.codes.index(code)
+    return tuple(chr(index.points[r]) for r in index.code_rows[index.code_ptr[k]:index.code_ptr[k + 1]])
+
+
 def test_homophone_index_table_rows(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", table1_entries())
     index = build_homophone_index(load_lexicon(path))
-    assert index.by_code["zo2"] == tuple(sorted("左阻俎柤詛座"))
-    assert len(index.by_code["zo2"]) == 6
-    assert len(index.by_code["sai3"]) == 9
-    assert len(index.by_code["wong4"]) == 9
-    assert len(index.codes_by_char["左"]) == 1
+    assert _members(index, "zo2") == tuple(sorted("左阻俎柤詛座"))
+    assert len(_members(index, "zo2")) == 6
+    assert len(_members(index, "sai3")) == 9
+    assert len(_members(index, "wong4")) == 9
+    assert len(index.codes_of("左")) == 1
 
 
 def test_homophone_index_singleton(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", [("王", "wong4")])
     index = build_homophone_index(load_lexicon(path))
-    assert index.by_code["wong4"] == ("王",)
-    assert len(index.codes_by_char["王"]) == 1
+    assert _members(index, "wong4") == ("王",)
+    assert len(index.codes_of("王")) == 1
     assert index.homophones_of("王") == ()
 
 
 def test_polyphone_counted_per_distinct_code(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", [("重", "cung4"), ("重", "zung6")])
     index = build_homophone_index(load_lexicon(path))
-    assert len(index.codes_by_char["重"]) == 2
+    assert index.codes_of("重") == ("cung4", "zung6")
 
 
 def test_pron_count_matches_membership(tmp_path):
-    # every character appears in exactly len(codes_by_char[char]) by_code sets
+    # every character appears in the groups of exactly len(codes_of(char)) codes
     rng = random.Random(7)
     chars = [chr(0x4E00 + i) for i in range(40)]
     syllables = ["zo", "sai", "wong", "lei", "zeng"]
@@ -113,15 +119,23 @@ def test_pron_count_matches_membership(tmp_path):
     lex_entries = list(dict.fromkeys(entries))
     path = write_lexicon(tmp_path / "lex.tsv", lex_entries)
     index = build_homophone_index(load_lexicon(path))
-    for char, codes in index.codes_by_char.items():
-        member_of = sum(1 for chars_ in index.by_code.values() if char in chars_)
-        assert member_of == len(codes)
+    assert index.points.shape[0] == len(chars)
+    for char in chars:
+        member_of = sum(1 for code in index.codes if char in _members(index, code))
+        assert member_of == len(index.codes_of(char)) >= 1
+
+
+def _assert_same_index(index, other):
+    assert index.codes == other.codes
+    for name in ("points", "char_ptr", "char_codes", "code_ptr", "code_rows"):
+        assert np.array_equal(getattr(index, name), getattr(other, name)), name
+        assert getattr(index, name).dtype == getattr(other, name).dtype == np.int32, name
 
 
 def test_index_is_pure(tmp_path):
     path = write_lexicon(tmp_path / "lex.tsv", table1_entries())
     lex = load_lexicon(path)
-    assert build_homophone_index(lex) == build_homophone_index(lex)
+    _assert_same_index(build_homophone_index(lex), build_homophone_index(lex))
 
 
 def _random_lexicon(rng, shared_codes):
@@ -140,24 +154,30 @@ def _random_lexicon(rng, shared_codes):
     return Lexicon(tuple(dict.fromkeys((char, code(text)) for char, text in entries)))
 
 
-def test_index_groupings_equal_the_reference_build(tmp_path):
-    # by_code and codes_by_char equal the sorted-tuple build in content
-    # and in insertion order, whether entries share code objects or not
-    rng = random.Random(2301)
+def _reference_worlds(tmp_path, rng):
+    """Random lexicons whose entries share code objects or not, an empty
+    lexicon and the table-1 lexicon."""
     lexicons = [_random_lexicon(rng, shared) for shared in (True, False) * 4]
-    lexicons += [Lexicon(()), load_lexicon(write_lexicon(tmp_path / "t.tsv", table1_entries()))]
-    for lex in lexicons:
+    return lexicons + [Lexicon(()), load_lexicon(write_lexicon(tmp_path / "t.tsv", table1_entries()))]
+
+
+def test_index_groupings_equal_the_reference_build(tmp_path):
+    # the arrays hold the sorted-tuple build's two groupings in content and
+    # in insertion order, whether entries share code objects or not: codes
+    # are by_code's keys, rows are codes_by_char's keys, and each span is
+    # one of their values
+    for lex in _reference_worlds(tmp_path, random.Random(2301)):
         index = build_homophone_index(lex)
         by_code, codes_by_char = reference_homophone_groupings(lex.entries)
-        assert list(index.by_code.items()) == list(by_code.items())
-        assert list(index.codes_by_char.items()) == list(codes_by_char.items())
-        # the arrays are the same groupings
         chars = list(codes_by_char)
         codes = list(by_code)
+        assert index.codes == tuple(codes)
         assert index.points.tolist() == [ord(c) for c in chars]
+        assert (len(index.char_ptr), len(index.code_ptr)) == (len(chars) + 1, len(codes) + 1)
+        assert (index.char_ptr[-1], index.code_ptr[-1]) == (len(index.char_codes), len(index.code_rows))
         for row, char in enumerate(chars):
             span = index.char_codes[index.char_ptr[row]:index.char_ptr[row + 1]]
-            assert tuple(codes[k] for k in span) == codes_by_char[char]
+            assert tuple(codes[k] for k in span) == codes_by_char[char] == index.codes_of(char)
         for k, code in enumerate(codes):
             span = index.code_rows[index.code_ptr[k]:index.code_ptr[k + 1]]
             assert tuple(chars[r] for r in span) == by_code[code]
@@ -165,16 +185,33 @@ def test_index_groupings_equal_the_reference_build(tmp_path):
             assert not array.flags.writeable
 
 
+def test_homophones_of_equals_the_reference_union(tmp_path):
+    # for every character, homophones_of is the union of the reference
+    # build's groups of its codes, minus itself, in code-point order; a
+    # string that is not one character of the index has none, and no codes
+    for lex in _reference_worlds(tmp_path, random.Random(2304)):
+        index = build_homophone_index(lex)
+        by_code, codes_by_char = reference_homophone_groupings(lex.entries)
+        for char, codes in codes_by_char.items():
+            union = {h for code in codes for h in by_code[code]} - {char}
+            assert index.homophones_of(char) == tuple(sorted(union))
+        for absent in ("", "ab", "\u5de6\u0301", "面", "\U0001F600", "\ud801", "\x00"):
+            assert absent not in codes_by_char
+            assert index.homophones_of(absent) == () and index.codes_of(absent) == ()
+
+
 def test_index_arrays_take_no_part_in_eq_or_repr():
+    # equality is identity; two builds of one lexicon, in any entry order,
+    # hold equal codes and arrays, and repr shows the codes alone
     rng = random.Random(2302)
     lex = _random_lexicon(rng, shared_codes=False)
     index = build_homophone_index(lex)
     shuffled = list(lex.entries)
     rng.shuffle(shuffled)
     other = build_homophone_index(Lexicon(tuple(shuffled)))
-    assert index == other
-    assert repr(index) == f"HomophoneIndex(by_code={index.by_code!r}, codes_by_char={index.codes_by_char!r})"
-    assert build_homophone_index(Lexicon(())) != index
+    _assert_same_index(index, other)
+    assert index == index and index != other and len({index, other}) == 2
+    assert repr(index) == f"HomophoneIndex(codes={index.codes!r})"
 
 
 @pytest.mark.parametrize("char", ["", "ab", "\u5de6\u0301"])
@@ -186,7 +223,7 @@ def test_index_refuses_a_character_that_is_not_one_scalar(char):
 
 def _scalar_lookup(index, vocab, token):
     homophones = tuple(h for h in index.homophones_of(token) if h in vocab.index)
-    return [vocab.index[h] for h in homophones], [len(index.codes_by_char[h]) for h in homophones]
+    return [vocab.index[h] for h in homophones], [len(index.codes_of(h)) for h in homophones]
 
 
 def _check_lookup(index, vocab, ids):
@@ -203,13 +240,13 @@ def test_in_vocab_homophones_equal_the_scalar_walk():
     # for every character of the index, and for every entry of vocabularies
     # that leave homophones out, hold characters absent from the lexicon, a
     # blank and a multi-character token, the arrays give the homophones_of
-    # walk filtered by the vocabulary, in its order, with N = len(codes_by_char[h])
+    # walk filtered by the vocabulary, in its order, with N = len(codes_of(h))
     rng = random.Random(2303)
     checked = 0
     for shared in (True, False) * 3:
         lex = _random_lexicon(rng, shared)
         index = build_homophone_index(lex)
-        chars = list(index.codes_by_char)
+        chars = list(map(chr, index.points.tolist()))
         absent = ["面", "\U0001F600", "z"]
         full = ["<b>"] + chars + absent
         rng.shuffle(full)

@@ -49,7 +49,7 @@ from helpers import (
     write_embeddings,
     write_lexicon,
 )
-from oracles import reference_homophone_pairs
+from oracles import reference_homophone_groupings, reference_homophone_pairs
 
 
 # --- metric primitives ---
@@ -304,8 +304,11 @@ def test_homophone_pairs_equal_the_combinations_walk(tmp_path):
     for lex in lexicons:
         index = build_homophone_index(lex)
         first, second = index.homophone_pairs()
-        want_chars, want_pairs = reference_homophone_pairs(index.by_code)
-        assert list(index.codes_by_char) == want_chars
+        want_chars, want_pairs = reference_homophone_pairs(reference_homophone_groupings(lex.entries)[0])
+        assert [chr(point) for point in index.points.tolist()] == want_chars
+        # discovery names the same rows with the lexicon's own strings
+        chars, *pairs = unified_writing._homophone_candidates(lex)
+        assert chars == want_chars and all(np.array_equal(a, b) for a, b in zip(pairs, (first, second)))
         assert list(zip(first.tolist(), second.tolist())) == want_pairs
 
 
