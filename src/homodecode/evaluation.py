@@ -3,7 +3,9 @@
 CER is computed on raw character sequences, micro-averaged: total edit
 operations over total reference length.  The harness decodes a manifest
 of utterances under a ladder of method variants (baseline / +lm / +HE /
-+UW / +HE+UW) and tabulates aggregate CER per variant.
++UW / +HE+UW) and tabulates aggregate CER per variant.  Each distinct
+decoder config decodes the manifest in lockstep groups of utterances
+(decoder.decode_many), whose size decoder.group_size bounds.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import astuple, dataclass, replace
 
-from .decoder import DecoderConfig, decode
+from .decoder import DecoderConfig, decode_many, group_size
 from .emissions import Vocabulary, load_emissions
-from .errors import EmptyReference, HomodecodeError, MalformedLine, check_types, open_text
+from .errors import EmptyReference, FormatError, HomodecodeError, MalformedLine, check_types, open_text
 from .lexicon import HomophoneIndex
 from .ngram_lm import NGramModel
 from .unified_writing import (
@@ -162,15 +164,22 @@ def run_comparison(
 
     Each distinct decoder config is decoded once: variants that only add
     UW rewriting reuse the 1-bests and HE counts of the variant they
-    extend.  Utterances decode one after another in manifest order.
+    extend.  A config decodes the manifest in consecutive groups of
+    group_size utterances, in manifest order; each group steps frame by
+    frame in lockstep (decode_many), and every result equals the decode
+    of its utterance alone.  Every emission matrix is loaded, and checked
+    to have frames, before anything is decoded.
     """
     configs = [variant_config(assets.decoder_config, variant) for variant in variants]  # names checked upfront
 
     def load_one(entry: ManifestEntry):
         try:
-            return load_emissions(entry.emissions_path, assets.vocab)
+            matrix = load_emissions(entry.emissions_path, assets.vocab)
+            if matrix.frames == 0:
+                raise FormatError(f"{entry.emissions_path}: emission matrix has zero frames")
         except Exception as exc:
             raise UtteranceError(entry.utt_id, str(exc)) from exc
+        return matrix
 
     matrices = [load_one(entry) for entry in manifest]
 
@@ -180,18 +189,18 @@ def run_comparison(
 
     def decode_all(config: DecoderConfig) -> tuple[list[str], int, int]:
         """Every 1-best, with the config's he_injections and he_in_best
-        counts; each DecodeResult and its audit is dropped once counted."""
+        counts; each group's DecodeResults and audits are dropped once
+        counted, before the next group is decoded."""
         bests, injections, in_best = [], 0, 0
-        for entry, matrix in zip(manifest, matrices):
-            try:
-                result = decode(matrix, assets.vocab, assets.index, assets.lm, config)
-            except Exception as exc:
-                raise UtteranceError(entry.utt_id, str(exc)) from exc
-            best = result.best  # a property: read once
-            bests.append(best)
-            injections += len(result.he_injections)
-            in_best += result.he_injections.count_injected(best)
-            del result
+        size = group_size(assets.vocab, config)
+        for first in range(0, len(matrices), size):
+            group = decode_many(matrices[first : first + size], assets.vocab, assets.index, assets.lm, config)
+            for result in group:
+                best = result.best  # a property: read once
+                bests.append(best)
+                injections += len(result.he_injections)
+                in_best += result.he_injections.count_injected(best)
+            del group, result
         return bests, injections, in_best
 
     decoded_by_config: dict[tuple, tuple[list[str], int, int]] = {}

@@ -639,6 +639,23 @@ def test_compare_empty_manifest_exit_2(compare_world, tmp_path, capsys):
     assert code == 2
 
 
+def test_compare_zero_frame_utterance_exit_2_naming_it(compare_world, tmp_path, capsys):
+    # decode exits 2 on a zero-frame matrix, and so does compare: it names the first such
+    # utterance in manifest order and its emissions path, and decodes nothing
+    lines = Path(compare_world["manifest"]).read_text(encoding="utf-8").splitlines()
+    empty = [write_emat_raw(tmp_path / f"empty{k}.emat", [], width=10) for k in (1, 2)]
+    entries = [json.loads(line) for line in lines]
+    entries.insert(1, {"id": "u7", "emissions_path": empty[0], "reference": "面"})
+    entries.append({"id": "u8", "emissions_path": empty[1], "reference": "面"})
+    manifest = tmp_path / "zero.jsonl"
+    manifest.write_text("".join(json.dumps(e, ensure_ascii=False) + "\n" for e in entries), encoding="utf-8")
+    code = main(["compare", "--manifest", str(manifest), "--config", compare_world["config"]])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: utterance 'u7': {empty[0]}: emission matrix has zero frames\n"
+    assert not (compare_world["dir"] / "out").exists()
+
+
 def test_compare_missing_config_path_exit_2(compare_world, tmp_path, capsys):
     config = tmp_path / "broken.json"
     config.write_text(json.dumps({"vocab": "/nonexistent/vocab.txt"}), encoding="utf-8")

@@ -8,13 +8,16 @@ import pytest
 
 from homodecode.decoder import (
     LN10,
+    LOCKSTEP_BUDGET,
     BeamHypothesis,
     DecoderConfig,
     HEAudit,
     _frame_candidates,
     ctc_step,
     decode,
+    decode_many,
     extend_homophones,
+    group_size,
     homophone_adjusted_prob,
 )
 from homodecode.emissions import EmissionMatrix, Vocabulary
@@ -576,6 +579,54 @@ def _random_he_world(rng, path, backoff_lm=False):
     lm = load_arpa(write_arpa(path / "lm.arpa", unigrams, bigrams, trigrams))
     assert lm.order == 3
     return vocab, index, lm
+
+
+def _decode_key(result):
+    """A DecodeResult as values to compare: its n-best, scores by float.hex, and its audit."""
+    nbest = [(e.transcript, e.fused_score.hex(), e.acoustic_score.hex(), e.lm_score.hex()) for e in result.nbest]
+    audit = result.he_injections
+    return nbest, list(audit), len(audit), audit.count_injected(result.best)
+
+
+def test_lockstep_group_equals_its_utterances_decoded_alone(tmp_path):
+    # decode_many steps a group's utterances through one ctc_step and one extend_homophones
+    # per frame; each result, audit included, is that of its utterance decoded alone, for
+    # ragged lengths (1-frame utterances included), an utterance listed twice (equal
+    # prefixes in two utterances), -inf entries (utterances with unequal numbers of
+    # candidates, or none), HE on and off, no LM or order-2 and order-3 LMs with OOV
+    # tokens, char_topk below and above V, and multi-character tokens
+    rng = random.Random(2811)
+    injected = 0
+    for world in range(9):
+        path = tmp_path / f"w{world}"
+        path.mkdir()
+        vocab, index, lm3 = _random_he_world(rng, path)
+        chars = [t for t in vocab.tokens if t != "<b>"]
+        lm2 = load_arpa(write_random_backoff_arpa(path / "lm2.arpa", rng, rng.sample(chars, len(chars) - 2), 2))
+        if world % 3 == 2:
+            vocab = Vocabulary(vocab.tokens + ("左面", "面左"), vocab.blank_index)
+        matrices = [EmissionMatrix.from_linear(_quantised_rows(rng, rng.randint(1, 5), vocab.size)) for _ in range(4)]
+        matrices.insert(2, matrices[0])
+        for lm in (None, lm2, lm3):
+            for he in (False, True):
+                config = DecoderConfig(beam_size=rng.randint(1, 5), alpha=rng.choice((0.0, 0.45)),
+                                       beta=rng.choice((0.0, 1.55)), he_enabled=he, nbest=rng.randint(1, 6),
+                                       char_topk=rng.choice((2, 3, 0, vocab.size + 5)))
+                alone = [_decode_key(decode(m, vocab, index, lm, config)) for m in matrices]
+                assert [_decode_key(r) for r in decode_many(matrices, vocab, index, lm, config)] == alone
+                injected += sum(key[2] for key in alone)
+    assert injected > 0
+
+
+def test_group_size_bounds_the_cells_of_a_step():
+    # max(1, LOCKSTEP_BUDGET // (beam_size * min(V - 1, char_topk or V)))
+    big = Vocabulary(tuple(chr(0x4E00 + i) for i in range(32692)) + ("<b>",), 32692)
+    assert group_size(big, DecoderConfig(char_topk=0)) == 1
+    assert group_size(big, DecoderConfig(beam_size=1, char_topk=0)) == 1
+    ladder = Vocabulary(tuple(chr(0x4E00 + i) for i in range(50)) + ("<b>",), 50)  # the ladder benchmark's V
+    assert group_size(ladder, DecoderConfig()) == LOCKSTEP_BUDGET // (20 * 50) > 1
+    assert group_size(ladder, DecoderConfig(char_topk=10)) == LOCKSTEP_BUDGET // (20 * 10)
+    assert group_size(ladder, DecoderConfig(beam_size=LOCKSTEP_BUDGET)) == 1
 
 
 def test_beam_step_bit_identical_to_reference(tmp_path):

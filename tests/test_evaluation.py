@@ -278,14 +278,14 @@ def test_uw_variants_reuse_the_decode_of_their_base(small_world, monkeypatch):
         uw_freq=FrequencyTable({"阻": 10, "左": 1}),
         uw_emb=EmbeddingTable(1, {}), uw_config=UWConfig(),
     )
-    calls = []
-    real_decode = evaluation.decode
+    calls = []  # one config per utterance decoded
+    real_decode_many = evaluation.decode_many
 
-    def counting_decode(matrix, vocab, index, lm, config):
-        calls.append(config)
-        return real_decode(matrix, vocab, index, lm, config)
+    def counting_decode_many(matrices, vocab, index, lm, config):
+        calls.extend([config] * len(matrices))
+        return real_decode_many(matrices, vocab, index, lm, config)
 
-    monkeypatch.setattr(evaluation, "decode", counting_decode)
+    monkeypatch.setattr(evaluation, "decode_many", counting_decode_many)
     reused = {r.variant: r for r in run_comparison(manifest, assets)}
     # baseline, lm and lm_he: lm_uw and lm_he_uw reuse lm and lm_he
     assert len(calls) == 3 * len(manifest)
@@ -298,24 +298,30 @@ def test_run_comparison_drops_each_decode_once_counted(small_world, monkeypatch)
     import gc
     import weakref
 
-    from homodecode import evaluation
+    from homodecode import decoder, evaluation
 
-    vocab, index, lm, manifest = small_world
-    assets = ComparisonAssets(vocab=vocab, index=index, lm=lm, decoder_config=DecoderConfig())
-    made = []
-    real_decode = evaluation.decode
+    vocab, index, lm, pair = small_world
+    manifest = [ManifestEntry(f"{e.utt_id}.{k}", e.emissions_path, e.reference) for k in range(3) for e in pair]
+    config = DecoderConfig()
+    # lockstep groups of two utterances: three groups per decoder config
+    monkeypatch.setattr(decoder, "LOCKSTEP_BUDGET", 2 * config.beam_size * (vocab.size - 1))
+    assets = ComparisonAssets(vocab=vocab, index=index, lm=lm, decoder_config=config)
+    made, groups = [], []
+    real_decode_many = evaluation.decode_many
 
-    def tracking_decode(matrix, vocab, index, lm, config):
+    def tracking_decode_many(matrices, vocab, index, lm, config):
         gc.collect()
-        # the DecodeResult of the utterance before, and its audit, are gone
+        # the DecodeResults of the group before, and their audits, are gone
         assert all(ref() is None for ref in made)
-        result = real_decode(matrix, vocab, index, lm, config)
-        made.append(weakref.ref(result))
-        return result
+        results = real_decode_many(matrices, vocab, index, lm, config)
+        made.extend(weakref.ref(obj) for result in results for obj in (result, result.he_injections))
+        groups.append(len(matrices))
+        return results
 
-    monkeypatch.setattr(evaluation, "decode", tracking_decode)
+    monkeypatch.setattr(evaluation, "decode_many", tracking_decode_many)
     results = {r.variant: r for r in run_comparison(manifest, assets, ("lm", "lm_he", "lm_he_uw"))}
-    assert len(made) == 2 * len(manifest)
+    assert groups == [2] * 6
+    assert len(made) == 2 * 2 * len(manifest)
     assert results["lm_he"].he_injections > 0
     assert (results["lm_he_uw"].he_injections, results["lm_he_uw"].he_in_best) == (
         results["lm_he"].he_injections, results["lm_he"].he_in_best)
