@@ -24,7 +24,7 @@ utterance with more than t frames goes through one ctc_step and one
 extend_homophones, so the fixed cost of a step's array calls is paid
 once per group.  Each utterance keeps its own candidates, prefixes,
 prune and audit, so its result equals that of decode, which is
-decode_many of one utterance; group_size bounds a group's cells.
+decode_many of one utterance; group_size bounds a group's entries.
 """
 
 from __future__ import annotations
@@ -260,22 +260,25 @@ def _frame_candidates(lp: np.ndarray, blank_index: int, topk: int) -> list[int]:
     return order[: dead[0] if dead.shape[0] else None][: topk or None].tolist()
 
 
-# The (parent x candidate) cells that one lockstep step is sized for.  A group of several
-# utterances shares the fixed cost of a step's numpy calls among them, but a step's scratch
-# arrays grow with its cells (about 10 KB per HE parent at V=51), so group_size caps a group at
-# this many cells.  Chosen by measurement: groups of 4 on the ladder benchmark (V=51, beam 20)
-# keep its peak RSS within 5% of one utterance per step; see CHANGES.md for the table of group
-# size against that benchmark's wall time and peak RSS.
-LOCKSTEP_BUDGET = 4000
+# The entries that one lockstep step is sized for.  A group of several utterances shares the fixed
+# cost of a step's numpy calls among them, but a step's scratch grows with the group: per utterance,
+# its (parent x candidate) cells (about 10 KB per HE parent at V=51) and a few rows of V entries (its
+# frame, its map from vocabulary id to candidate column and that map's widened copy).  group_size
+# caps a group at this many of both, so a vocabulary larger than it never batches.  Chosen by
+# measurement: groups of 4 on the ladder benchmark (V=51, beam 20) keep its peak RSS within 5% of
+# one utterance per step; see CHANGES.md for the table of group size against that benchmark's wall
+# time and peak RSS, and for what groups would cost and save at V=32,693.
+LOCKSTEP_BUDGET = 5000
 
 
 def group_size(vocab: Vocabulary, config: DecoderConfig) -> int:
     """How many utterances decode_many should step together under config:
-    LOCKSTEP_BUDGET // (beam_size * width), and at least 1, where
-    width = min(V - 1, char_topk or V) bounds a frame's candidates.
-    Exact search at a production vocabulary gets groups of one."""
+    LOCKSTEP_BUDGET // (beam_size * width + V), and at least 1, where
+    width = min(V - 1, char_topk or V) bounds a frame's candidates.  A
+    production vocabulary (V = 32,693) gets groups of one under any
+    config."""
     width = min(vocab.size - 1, config.char_topk or vocab.size)
-    return max(1, LOCKSTEP_BUDGET // (config.beam_size * max(width, 1)))
+    return max(1, LOCKSTEP_BUDGET // (config.beam_size * max(width, 1) + vocab.size))
 
 
 @dataclass
@@ -365,7 +368,7 @@ def _read(grid: BackoffGrid, positions: np.ndarray, lm_row: np.ndarray, utteranc
     row in the grid row lm_row[i].  The grid is read once, at the union
     of the positions (BackoffGrid.logprob is elementwise, so every value
     is the one a read of that row alone gives)."""
-    if positions.shape[0] == 1:  # one utterance: its positions are the union
+    if positions.shape[0] == 1:  # one utterance, as in decode: the union and gather cost decode_32k 6-10%
         values = grid.logprob(positions[0])
         return values if values.shape[0] == lm_row.shape[0] else values[lm_row]  # distinct contexts: the identity
     union = np.sort(positions, axis=None)
@@ -675,22 +678,14 @@ def _inject(exp: BeamExpansion, lp: np.ndarray, index: HomophoneIndex, vocab: Vo
     new = np.hstack((exp.fresh, np.zeros(inc.shape, dtype=bool)))
     wide = organic.shape[1]
 
-    # every offer as arrays, the step's largest, so built in place and indexed by int32 where that
-    # holds every cell and offer: source cell src, repeated n times, offers kept homophone entry at its
+    # every offer as arrays: source cell src, repeated n times, offers kept homophone entry at its
     # cell's mass plus log_p[entry]; a flat index, as np.maximum.at takes its fast path only for one
     # index array
-    itype = np.int32 if max(organic.size, int(n.sum())) < 2**31 else np.intp
     first = np.cumsum(size) - size
-    entry = np.repeat((first[src_slot] - (np.cumsum(n) - n)).astype(itype), n)
-    entry += np.arange(entry.shape[0], dtype=itype)
-    target = columns.ravel()[offered_at].astype(itype)[entry]
-    target += np.repeat((src // width * wide).astype(itype), n)
-    offer = log_p[entry]
-    del entry
-    offer += np.repeat(exp.mass.ravel()[src], n)
+    entry = np.repeat(first[src_slot] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+    target = columns.ravel()[offered_at][entry] + np.repeat(src // width * wide, n)
     sibling = np.full(organic.size, NEG_INF)
-    np.maximum.at(sibling, target, offer)
-    del target, offer
+    np.maximum.at(sibling, target, log_p[entry] + np.repeat(exp.mass.ravel()[src], n))
     sibling = sibling.reshape(organic.shape)
     # a sibling that is a prefix in its beam already is merged into it
     stay = np.fromiter(exp.stays, dtype=np.intp, count=len(exp.stays))
@@ -721,7 +716,8 @@ def decode_many(
     ctc_step and one extend_homophones, so the fixed cost of a step's
     array calls is paid once per group; each utterance keeps its own
     candidates, beam, prune and audit.  A step holds every utterance's
-    cells at once, so its memory grows with the group: group_size gives
+    cells and rows of V entries at once, so its memory grows with the
+    group: group_size gives
     the group that LOCKSTEP_BUDGET allows.  Raises EmptyEmissions if any
     matrix has zero frames.
     """
@@ -731,10 +727,7 @@ def decode_many(
     beams = [[BeamHypothesis((), 0.0, NEG_INF)] for _ in emissions]
     for t in range(max((matrix.frames for matrix in emissions), default=0)):
         group = [b for b, matrix in enumerate(emissions) if matrix.frames > t]
-        if len(group) == 1:  # a view: a copy of a V-wide row costs a fresh allocation every frame
-            rows = emissions[group[0]].log_probs[t : t + 1]
-        else:
-            rows = np.array([emissions[b].log_probs[t] for b in group])
+        rows = np.array([emissions[b].log_probs[t] for b in group])
         # each frame's expansion, its BackoffGrid included, is dropped before the next is built
         stepped = extend_homophones(ctc_step([beams[b] for b in group], rows, vocab, config, lm), rows, index, vocab,
                                     config, lm, t, [audits[b] for b in group])

@@ -45,11 +45,13 @@ VARIANTS = {
 
 
 class UtteranceError(HomodecodeError):
-    """Wraps a decode/load failure with the owning utterance id."""
+    """Wraps a load failure with the owning utterance id, or a decode
+    failure with the ids of the lockstep group that was decoding."""
 
-    def __init__(self, utt_id: str, message: str):
+    def __init__(self, utt_id: str | tuple[str, ...], message: str):
         self.utt_id = utt_id
-        super().__init__(f"utterance {utt_id!r}: {message}")
+        ids = (utt_id,) if isinstance(utt_id, str) else utt_id
+        super().__init__(f"utterance{'s' if len(ids) > 1 else ''} {', '.join(map(repr, ids))}: {message}")
 
 
 @dataclass(frozen=True)
@@ -167,8 +169,9 @@ def run_comparison(
     extend.  A config decodes the manifest in consecutive groups of
     group_size utterances, in manifest order; each group steps frame by
     frame in lockstep (decode_many), and every result equals the decode
-    of its utterance alone.  Every emission matrix is loaded, and checked
-    to have frames, before anything is decoded.
+    of its utterance alone; a failed decode names the group's utterances.
+    Every emission matrix is loaded, and checked to have frames, before
+    anything is decoded.
     """
     configs = [variant_config(assets.decoder_config, variant) for variant in variants]  # names checked upfront
 
@@ -194,7 +197,10 @@ def run_comparison(
         bests, injections, in_best = [], 0, 0
         size = group_size(assets.vocab, config)
         for first in range(0, len(matrices), size):
-            group = decode_many(matrices[first : first + size], assets.vocab, assets.index, assets.lm, config)
+            try:
+                group = decode_many(matrices[first : first + size], assets.vocab, assets.index, assets.lm, config)
+            except Exception as exc:
+                raise UtteranceError(tuple(e.utt_id for e in manifest[first : first + size]), str(exc)) from exc
             for result in group:
                 best = result.best  # a property: read once
                 bests.append(best)

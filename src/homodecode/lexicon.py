@@ -108,8 +108,7 @@ class HomophoneIndex:
 
         The scalar walk's work as gathers: each entry's codes, those codes'
         rows, one sort of the (entry, row) keys that drops repeats and the
-        entry itself, and one search of the vocabulary's code points, made
-        in code-point order.
+        entry itself, and one search of the vocabulary's code points.
         """
         rows = _positions(self.points, vocab.code_points[ids])
         n_codes = np.where(rows >= 0, self.char_ptr[rows + 1] - self.char_ptr[rows], 0)
@@ -122,10 +121,7 @@ class HomophoneIndex:
         entry, row = np.divmod(key[np.diff(key, prepend=-1) != 0], width)  # a polyphone pair can share two codes
         homophone = row != rows[entry]
         entry, row = entry[homophone], row[homophone]
-        # the vocabulary is searched in code-point order, as sorted queries cost a fraction of unsorted ones
-        by_point = np.argsort(row, kind="stable")
-        found = np.empty(row.shape, dtype=np.intp)
-        found[by_point] = _positions(vocab.code_points, self.points[row[by_point]], vocab.code_point_order)
+        found = _positions(vocab.code_points, self.points[row], vocab.code_point_order)
         entry, row, found = entry[found >= 0], row[found >= 0], found[found >= 0]
         return np.bincount(entry, minlength=rows.shape[0]), found, self.char_ptr[row + 1] - self.char_ptr[row]
 

@@ -618,15 +618,24 @@ def test_lockstep_group_equals_its_utterances_decoded_alone(tmp_path):
     assert injected > 0
 
 
-def test_group_size_bounds_the_cells_of_a_step():
-    # max(1, LOCKSTEP_BUDGET // (beam_size * min(V - 1, char_topk or V)))
+def test_group_size_bounds_the_entries_of_a_step():
+    # max(1, LOCKSTEP_BUDGET // (beam_size * min(V - 1, char_topk or V) + V)): a group's cells
+    # and its rows of V entries stay within the budget, and V = 32,693 never batches
     big = Vocabulary(tuple(chr(0x4E00 + i) for i in range(32692)) + ("<b>",), 32692)
-    assert group_size(big, DecoderConfig(char_topk=0)) == 1
-    assert group_size(big, DecoderConfig(beam_size=1, char_topk=0)) == 1
+    for config in (DecoderConfig(), DecoderConfig(char_topk=0), DecoderConfig(beam_size=1, char_topk=0),
+                   DecoderConfig(beam_size=1, char_topk=1), DecoderConfig(beam_size=1, char_topk=64)):
+        assert group_size(big, config) == 1
     ladder = Vocabulary(tuple(chr(0x4E00 + i) for i in range(50)) + ("<b>",), 50)  # the ladder benchmark's V
-    assert group_size(ladder, DecoderConfig()) == LOCKSTEP_BUDGET // (20 * 50) > 1
-    assert group_size(ladder, DecoderConfig(char_topk=10)) == LOCKSTEP_BUDGET // (20 * 10)
+    assert group_size(ladder, DecoderConfig()) == LOCKSTEP_BUDGET // (20 * 50 + 51) > 1
+    assert group_size(ladder, DecoderConfig(char_topk=10)) == LOCKSTEP_BUDGET // (20 * 10 + 51)
     assert group_size(ladder, DecoderConfig(beam_size=LOCKSTEP_BUDGET)) == 1
+    for size in (2, 51, 400, 3000, LOCKSTEP_BUDGET - 1, LOCKSTEP_BUDGET):
+        vocab = Vocabulary(tuple(chr(0x4E00 + i) for i in range(size - 1)) + ("<b>",), size - 1)
+        for beam, topk in ((1, 0), (1, 1), (3, 2), (20, 64), (5, size + 5)):
+            config = DecoderConfig(beam_size=beam, char_topk=topk)
+            n = group_size(vocab, config)
+            entries = beam * min(size - 1, topk or size) + size
+            assert n >= 1 and (n == 1 or n * entries <= LOCKSTEP_BUDGET) and (n + 1) * entries > LOCKSTEP_BUDGET
 
 
 def test_beam_step_bit_identical_to_reference(tmp_path):

@@ -181,6 +181,32 @@ def test_comparison_decode_error_carries_utterance_id(small_world, tmp_path):
     assert "u3" in str(exc.value)
 
 
+def test_comparison_group_decode_error_names_the_group(small_world, monkeypatch):
+    # a failed lockstep decode names every utterance of its group
+    from homodecode import decoder, evaluation
+
+    vocab, index, lm, pair = small_world
+    manifest = [ManifestEntry(f"{e.utt_id}.{k}", e.emissions_path, e.reference) for k in range(2) for e in pair]
+    config = DecoderConfig()
+    monkeypatch.setattr(decoder, "LOCKSTEP_BUDGET", 2 * (config.beam_size * (vocab.size - 1) + vocab.size))
+    real_decode_many = evaluation.decode_many
+
+    def failing_decode_many(matrices, *args):
+        if failing_decode_many.calls == 1:
+            raise RuntimeError("boom")
+        failing_decode_many.calls += 1
+        return real_decode_many(matrices, *args)
+
+    failing_decode_many.calls = 0
+    monkeypatch.setattr(evaluation, "decode_many", failing_decode_many)
+    assets = ComparisonAssets(vocab=vocab, index=index, lm=lm, decoder_config=config)
+    with pytest.raises(UtteranceError) as exc:
+        run_comparison(manifest, assets, ("baseline",))
+    assert str(exc.value) == "utterances 'u1.1', 'u2.1': boom"
+    assert exc.value.utt_id == ("u1.1", "u2.1")
+    assert isinstance(exc.value.__cause__, RuntimeError)
+
+
 def test_uw_variant_rewrites_hypotheses(small_world, tmp_path):
     import math
 
@@ -304,7 +330,7 @@ def test_run_comparison_drops_each_decode_once_counted(small_world, monkeypatch)
     manifest = [ManifestEntry(f"{e.utt_id}.{k}", e.emissions_path, e.reference) for k in range(3) for e in pair]
     config = DecoderConfig()
     # lockstep groups of two utterances: three groups per decoder config
-    monkeypatch.setattr(decoder, "LOCKSTEP_BUDGET", 2 * config.beam_size * (vocab.size - 1))
+    monkeypatch.setattr(decoder, "LOCKSTEP_BUDGET", 2 * (config.beam_size * (vocab.size - 1) + vocab.size))
     assets = ComparisonAssets(vocab=vocab, index=index, lm=lm, decoder_config=config)
     made, groups = [], []
     real_decode_many = evaluation.decode_many
